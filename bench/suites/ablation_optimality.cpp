@@ -1,26 +1,22 @@
-// Ablation A9: heuristic optimality gap against the exact SAT backend.
+// Ablation A9: heuristic optimality gap against the exact verdict.
 //
-// Runs every heuristic mapper variant and the SAT backend on the SAME
+// Runs every heuristic mapper variant and both exact solvers on the SAME
 // per-sample defect maps (forEachDefectSample pre-splits the RNG streams,
 // so every mapper sees bit-identical crossbars) and reports, per circuit x
 // defect rate, how far each heuristic's yield falls short of the exact
 // verdict. Two invariants are enforced, not just reported:
 //
-//   * every heuristic success must be CONFIRMED SAT — an actual model found
-//     by the SAT backend, not just "no proof of unsat" (a heuristic mapping
-//     an unmappable sample would be a soundness bug — zero tolerance), and
-//   * every SAT verdict the backend resolves must equal fast-ea's
-//     Hopcroft--Karp verdict (two independent exact algorithms must agree).
+//   * the exact verdict — fast-ea, Hopcroft-Karp on the candidate
+//     adjacency — must equal the paper's EA (ea-munkres, a zero-cost
+//     Munkres assignment on the full matching matrix) on every sample: two
+//     independent exact algorithms must agree, and
+//   * every heuristic success must be an exact success (a heuristic
+//     mapping an unmappable sample would be a soundness bug — zero
+//     tolerance).
 //
-// The backend runs under a per-cube conflict budget. Feasible samples
-// resolve constructively in a few hundred conflicts; a budget-out is only
-// ever seen on infeasible samples whose Hall certificate is large —
-// pigeonhole-style formulas with an exponential resolution lower bound, so
-// no conflict budget is "enough" and the honest output is an explicit
-// unresolved count (the gap itself uses the cross-checked exact verdict).
 // Any invariant violation prints loudly and fails the suite (exit 1),
-// which also turns the CTest smoke run into a cross-check of the SAT
-// encoder against the matching heuristics on real circuit workloads.
+// which also turns the CTest smoke run into a cross-check of the two exact
+// solvers against the matching heuristics on real circuit workloads.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -31,33 +27,17 @@
 #include "defect_sweep.hpp"
 #include "map/registry.hpp"
 #include "mc/defect_experiment.hpp"
-#include "sat/cnf.hpp"
-#include "sat/cube.hpp"
-#include "sat/solver.hpp"
 #include "util/json_writer.hpp"
 #include "util/text_table.hpp"
 
 namespace {
-
-/// Exact verdict of one sample from the SAT backend (budgeted).
-mcx::sat::Verdict satVerdict(const mcx::FunctionMatrix& fm, const mcx::BitMatrix& cm,
-                             mcx::MappingContext& ctx, std::uint64_t conflictLimit) {
-  using namespace mcx;
-  if (fm.rows() > cm.rows()) return sat::Verdict::Unsat;
-  const BitMatrix& adj = ctx.candidateAdjacency(fm.bits(), cm);
-  sat::MatchingCnf enc = sat::encodeMatching(adj);
-  if (enc.trivialUnsat) return sat::Verdict::Unsat;
-  sat::SolverOptions base;
-  base.conflictLimit = conflictLimit;
-  return sat::solveCubes(enc.cnf, sat::generateCubes(enc, 2), base).verdict;
-}
 
 int runOptimality(const std::vector<std::string>& args) {
   using namespace mcx;
 
   bench::CommonOptions common;
   cli::ArgParser parser("mcx_bench ablation-optimality",
-                        "A9: exact SAT verdict vs heuristic mappers on identical samples");
+                        "A9: exact verdict vs heuristic mappers on identical samples");
   common.addSamplesTo(parser);
   common.addSeedTo(parser);
   common.addJsonTo(parser);
@@ -66,12 +46,12 @@ int runOptimality(const std::vector<std::string>& args) {
   const std::size_t samples = common.samplesOr(100);
   const std::uint64_t seed = common.seedOr(0xc0ffee);
   const std::string jsonPath = common.jsonOr("BENCH_optimality.json");
-  constexpr std::uint64_t kConflictBudget = 10000;  // per cube; see header
 
   const std::vector<std::string> heuristics = {"greedy", "hba-nobt", "hba"};
   std::vector<std::shared_ptr<const IMapper>> heuristicMappers;
   for (const std::string& name : heuristics) heuristicMappers.push_back(makeMapper(name));
   const std::shared_ptr<const IMapper> fastEa = makeMapper("fast-ea");
+  const std::shared_ptr<const IMapper> munkres = makeMapper("ea-munkres");
 
   std::ofstream jsonFile(jsonPath);
   JsonWriter json(jsonFile);
@@ -79,11 +59,9 @@ int runOptimality(const std::vector<std::string>& args) {
   json.field("bench", "ablation-optimality");
   json.field("samples", static_cast<std::uint64_t>(samples));
   json.field("seed", seed);
-  json.field("conflict_budget", kConflictBudget);
   json.key("cells").beginArray();
 
-  TextTable table({"circuit", "rate", "exact", "unresolved", "Greedy", "HBA-nobt", "HBA",
-                   "contradict"});
+  TextTable table({"circuit", "rate", "exact", "Greedy", "HBA-nobt", "HBA", "contradict"});
   std::size_t totalContradictions = 0;
   std::size_t exactMismatches = 0;
   std::size_t nonzeroGapCells = 0;
@@ -97,28 +75,19 @@ int runOptimality(const std::vector<std::string>& args) {
       config.stuckOpenRate = rate;
 
       std::size_t exactOk = 0;
-      std::size_t unresolved = 0;
       std::size_t cellMismatches = 0;
       std::vector<std::size_t> heurOk(heuristics.size(), 0);
       std::vector<std::size_t> heurContradictions(heuristics.size(), 0);
-      MappingContext ctx;
 
       forEachDefectSample(
           circuit->fm, config, [&](std::size_t, const DefectMap&, const BitMatrix& cm) {
-            const sat::Verdict v = satVerdict(circuit->fm, cm, ctx, kConflictBudget);
-            const bool fastOk = fastEa->map(circuit->fm, cm).success;
-            // The exact yield column uses the cross-checked exact verdict:
-            // where the SAT backend resolved, it must agree with fast-ea.
-            if (v == sat::Verdict::Unknown)
-              ++unresolved;
-            else if ((v == sat::Verdict::Sat) != fastOk)
-              ++cellMismatches;
-            if (fastOk) ++exactOk;
+            const bool exact = fastEa->map(circuit->fm, cm).success;
+            if (munkres->map(circuit->fm, cm).success != exact) ++cellMismatches;
+            if (exact) ++exactOk;
             for (std::size_t h = 0; h < heuristics.size(); ++h) {
               const bool ok = heuristicMappers[h]->map(circuit->fm, cm).success;
               if (ok) ++heurOk[h];
-              // "Confirmed SAT" means a model, not merely no refutation.
-              if (ok && v != sat::Verdict::Sat) ++heurContradictions[h];
+              if (ok && !exact) ++heurContradictions[h];
             }
           });
 
@@ -126,12 +95,10 @@ int runOptimality(const std::vector<std::string>& args) {
       json.field("circuit", circuitName);
       json.field("rate", rate);
       json.field("exact_successes", static_cast<std::uint64_t>(exactOk));
-      json.field("sat_unresolved", static_cast<std::uint64_t>(unresolved));
-      json.field("sat_fastea_mismatches", static_cast<std::uint64_t>(cellMismatches));
+      json.field("munkres_mismatches", static_cast<std::uint64_t>(cellMismatches));
       json.key("mappers").beginArray();
       std::vector<std::string> row{circuitName, TextTable::percent(rate),
-                                   std::to_string(exactOk) + "/" + std::to_string(samples),
-                                   std::to_string(unresolved)};
+                                   std::to_string(exactOk) + "/" + std::to_string(samples)};
       std::size_t cellContradictions = 0;
       bool cellHasGap = false;
       for (std::size_t h = 0; h < heuristics.size(); ++h) {
@@ -166,15 +133,15 @@ int runOptimality(const std::vector<std::string>& args) {
   std::cout << "Optimality gap vs exact verdict (" << samples
             << " samples per cell, identical defect maps across mappers)\n\n";
   std::cout << table << "\n";
-  std::cout << "gap N = samples proven mappable that the heuristic missed; unresolved =\n"
-               "infeasible-side samples the SAT backend could not refute in budget (large\n"
-               "Hall certificates; exponential for resolution); contradict = heuristic\n"
-               "successes not confirmed by a SAT model (must be 0).\n";
+  std::cout << "exact = Hopcroft-Karp verdict, cross-checked sample by sample against the\n"
+               "paper's Munkres EA; gap N = samples proven mappable that the heuristic\n"
+               "missed; contradict = heuristic successes on exactly unmappable samples\n"
+               "(must be 0).\n";
   std::cout << "json: " << jsonPath << "\n";
 
   if (totalContradictions != 0 || exactMismatches != 0) {
-    std::cout << "FAIL: " << totalContradictions << " unconfirmed heuristic success(es), "
-              << exactMismatches << " SAT/fast-ea mismatch(es)\n";
+    std::cout << "FAIL: " << totalContradictions << " heuristic success(es) on unmappable samples, "
+              << exactMismatches << " Hopcroft-Karp/Munkres mismatch(es)\n";
     return 1;
   }
   return 0;
@@ -182,5 +149,5 @@ int runOptimality(const std::vector<std::string>& args) {
 
 }  // namespace
 
-MCX_BENCH_SUITE("ablation-optimality", "A9: exact-vs-heuristic yield gap (SAT ground truth)",
+MCX_BENCH_SUITE("ablation-optimality", "A9: exact-vs-heuristic yield gap (HK + Munkres)",
                 runOptimality);

@@ -57,7 +57,7 @@ struct SoakConfig {
   // exercise the throw / allocation-failure / deadline-stall paths.
   std::string faults =
       "circuit.synthesize=throw%2;mc.sample=stall:1%1;serve.enqueue=badalloc%1;"
-      "sat.solve=throw%2;approx.evaluate=throw%2";
+      "approx.evaluate=throw%2";
 };
 
 /// One client's next request line, drawn from its own deterministic stream.
@@ -75,23 +75,15 @@ std::string drawLine(Rng& rng, std::size_t client, std::uint64_t serial) {
   }
   std::ostringstream req;
   req << "{\"id\": \"" << id << "\"";
-  // Exact SAT backend draws hit the sat.solve fault site. They stick to
-  // the small circuits and modest sample counts (per-sample CNF solving on
-  // bw-scale matrices would outlive the soak), with a bounded conflict
-  // budget: infeasible samples with big Hall certificates are
-  // pigeonhole-hard, and a soak request must never outlive its lane.
-  const bool satDraw = rng.bernoulli(0.2);
-  req << ", \"circuit\": \"" << circuits[rng.uniformInt(0, satDraw ? 2 : 4)] << "\"";
+  req << ", \"circuit\": \"" << circuits[rng.uniformInt(0, 4)] << "\"";
   if (rng.bernoulli(0.3)) req << ", \"multilevel\": " << (rng.bernoulli(0.5) ? "true" : "false");
-  if (satDraw) req << R"(, "mapper": {"mapper": "sat", "conflictLimit": 2048})";
   // Graded draws exercise the approx rescue path (and its approx.evaluate
   // fault site) plus the epsilon response fields under churn.
-  const bool approxDraw = !satDraw && rng.bernoulli(0.2);
-  if (approxDraw) {
+  if (rng.bernoulli(0.2)) {
     req << R"(, "mapper": {"mapper": "approx", "inner": "fast-ea", "epsilon": 1.0})";
     req << ", \"epsilon\": 0." << rng.uniformInt(0, 9);
   }
-  if (!satDraw && draw < 20) {  // deliberately expensive: feeds the cost/bucket shedders
+  if (draw < 20) {  // deliberately expensive: feeds the cost/bucket shedders
     req << ", \"samples\": " << rng.uniformInt(500, 2000);
   } else {
     req << ", \"samples\": " << rng.uniformInt(5, 30);
@@ -216,8 +208,7 @@ int runChaosSoak(const std::vector<std::string>& args) {
     }
 
     std::uint64_t firedTotal = 0;
-    for (const char* site : {"circuit.synthesize", "mc.sample", "serve.enqueue", "sat.solve",
-                             "approx.evaluate"})
+    for (const char* site : {"circuit.synthesize", "mc.sample", "serve.enqueue", "approx.evaluate"})
       firedTotal += faultinject::fired(site);
     if (firedTotal == 0) {
       std::cerr << "chaos_soak: no injected fault ever fired — the storm was a "
@@ -267,7 +258,6 @@ int runChaosSoak(const std::vector<std::string>& args) {
     json.field("fired_synthesize", faultinject::fired("circuit.synthesize"));
     json.field("fired_mc_sample", faultinject::fired("mc.sample"));
     json.field("fired_enqueue", faultinject::fired("serve.enqueue"));
-    json.field("fired_sat_solve", faultinject::fired("sat.solve"));
     json.field("fired_approx_evaluate", faultinject::fired("approx.evaluate"));
     json.field("rss_start_bytes", rssStart.rssBytes);
     json.field("rss_peak_bytes", rssEnd.peakRssBytes);

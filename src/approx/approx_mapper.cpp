@@ -133,14 +133,14 @@ std::shared_ptr<const ApproxMapper::FmAnalysis> ApproxMapper::analyze(
 
 MappingResult ApproxMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
   MappingResult exact = inner_->map(fm, cm);
-  if (exact.success || exact.aborted) return exact;
+  if (exact.success) return exact;
   return rescue(fm, cm, buildCandidateAdjacency(fm.bits(), cm), std::move(exact));
 }
 
 MappingResult ApproxMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
                                 MappingContext& ctx) const {
   MappingResult exact = inner_->map(fm, cm, ctx);
-  if (exact.success || exact.aborted) return exact;
+  if (exact.success) return exact;
   return rescue(fm, cm, ctx.candidateAdjacency(fm.bits(), cm), std::move(exact));
 }
 

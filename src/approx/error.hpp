@@ -8,7 +8,7 @@
 // (logic/truth_table.hpp), so the counts are exact, not sampled — this is
 // the ground truth that graded acceptance (functional yield(ε)) and the
 // approximate mapper's per-sample realizedError are defined against, and
-// what the SAT cross-check tests verify independently.
+// what the exhaustive cross-check tests verify independently.
 #pragma once
 
 #include <cstddef>

@@ -1,28 +1,11 @@
 #include "circuit/registry.hpp"
 
-#include <initializer_list>
-
 #include "benchdata/registry.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
 
 namespace {
-
-/// Reject unrecognized spec members (same rationale as the mapper and
-/// scenario registries: a typo'd knob must not silently compile the default
-/// pipeline under the wrong label).
-void requireOnlyKeys(const SpecValue& spec, std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : spec.members) {
-    bool known = false;
-    for (const char* name : allowed)
-      if (key == name) {
-        known = true;
-        break;
-      }
-    if (!known) throw ParseError("circuit spec: unknown member \"" + key + "\"");
-  }
-}
 
 std::string sourceWord(BenchmarkSource source) {
   switch (source) {
@@ -123,7 +106,8 @@ CircuitSpec resolveSource(const std::string& source) {
 
 CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
   if (!spec.isObject()) throw ParseError("circuit spec: expected a JSON object");
-  requireOnlyKeys(spec, {"circuit", "synth", "realize", "factoring", "maxFanin", "label"});
+  requireOnlyKeys(spec, "circuit spec",
+                  {"circuit", "synth", "realize", "factoring", "maxFanin", "label"});
 
   const std::string source = spec.stringOr("circuit", "");
   if (source.empty()) throw ParseError("circuit spec: missing \"circuit\" member");

@@ -20,9 +20,6 @@
 
 namespace mcx {
 
-class CancelToken;
-class ExecutorPool;
-
 /// True iff FM row @p fmRow fits CM row @p cmRow.
 bool rowMatches(const BitMatrix& fm, std::size_t fmRow, const BitMatrix& cm, std::size_t cmRow);
 
@@ -74,18 +71,6 @@ public:
     dirty_ = dirty;
   }
 
-  /// Register the engine's cancellation token and worker pool so
-  /// context-aware mappers with internal search (the SAT backend) can poll
-  /// deadlines mid-solve and farm sub-problems onto the experiment pool.
-  /// Null means no cancellation / no internal parallelism. The pointees
-  /// must outlive the mapping calls.
-  void setExecution(const CancelToken* cancel, ExecutorPool* pool) {
-    cancel_ = cancel;
-    pool_ = pool;
-  }
-  const CancelToken* cancelToken() const { return cancel_; }
-  ExecutorPool* pool() const { return pool_; }
-
   /// Candidate adjacency of (fm, cm) in a reused internal buffer (valid
   /// until the next call on this context).
   const BitMatrix& candidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
@@ -95,8 +80,6 @@ private:
 
   const DefectMap* defects_ = nullptr;
   const DirtyRows* dirty_ = nullptr;
-  const CancelToken* cancel_ = nullptr;
-  ExecutorPool* pool_ = nullptr;
 
   // Column -> FM rows index (CSR, for poisoned-column erasure) plus the
   // all-zero FM rows, built once per bound function matrix.
@@ -153,11 +136,9 @@ struct MappingResult {
   std::vector<std::size_t> inputPermutation;
   /// Number of backtracking repairs attempted (HBA statistics).
   std::size_t backtracks = 0;
-  /// The mapper was interrupted mid-solve (cancellation/deadline) before
-  /// reaching a verdict: success is meaningless and the Monte Carlo engine
-  /// leaves the sample unrecorded, so partial counts stay bit-identical to
-  /// an uninterrupted rerun's prefix. Only mappers with internal
-  /// cancellation polling (the SAT backend) ever set this.
+  /// Reserved for a mapper interrupted mid-solve before reaching a
+  /// verdict. No mapper in the library sets it: every shipped mapper runs
+  /// each sample to completion, and cancellation acts between samples.
   bool aborted = false;
   /// Exact fraction of care (minterm, output) pairs the realized function
   /// gets wrong, in [0, 1]. Negative means "not measured" — the graded

@@ -1,33 +1,24 @@
 #include "map/registry.hpp"
 
-#include <cmath>
-
 #include "approx/approx_mapper.hpp"
 #include "map/column_permutation_mapper.hpp"
 #include "map/exact_mapper.hpp"
 #include "map/fast_exact_mapper.hpp"
 #include "map/greedy_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
-#include "sat/sat_mapper.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
 
 namespace {
 
-/// Reject unrecognized spec members (same rationale as the scenario
-/// registry: a typo'd option would silently run the default mapper under
-/// the wrong label).
-void requireOnlyKeys(const SpecValue& spec, std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : spec.members) {
-    bool known = false;
-    for (const char* name : allowed)
-      if (key == name) {
-        known = true;
-        break;
-      }
-    if (!known) throw ParseError("mapper spec: unknown member \"" + key + "\"");
-  }
+/// The optional "inner" member of a wrapping mapper (approx, colperm): a
+/// preset name or a nested spec; null (the wrapper's default) when absent.
+std::shared_ptr<const IMapper> innerFromSpec(const SpecValue& spec) {
+  const SpecValue* inner = spec.find("inner");
+  if (inner == nullptr) return nullptr;
+  if (inner->kind == SpecValue::Kind::String) return makeMapper(inner->string);
+  return mapperFromSpec(*inner);
 }
 
 std::string knownPresetNames() {
@@ -71,10 +62,6 @@ const std::vector<MapperPreset>& mapperPresets() {
        [] { return std::make_shared<GreedyMapper>(); }},
       {"colperm", "input-column permutation search around an inner HBA",
        [] { return std::make_shared<ColumnPermutationMapper>(); }},
-      {"sat",
-       "exact SAT backend (CDCL + cube-and-conquer); spec: {\"mapper\":\"sat\","
-       "\"cubeDepth\":2,\"conflictLimit\":10000,\"learn\":true,\"parallelCubes\":false}",
-       [] { return std::make_shared<SatMapper>(); }},
       {"approx",
        "graded mapper: exact inner attempt, then sacrifice lowest-weight cubes "
        "within an error budget; spec: {\"mapper\":\"approx\",\"inner\":\"fast-ea\","
@@ -94,7 +81,7 @@ std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
   if (!spec.isObject()) throw ParseError("mapper spec: expected a JSON object");
 
   if (const SpecValue* preset = spec.find("preset")) {
-    requireOnlyKeys(spec, {"preset"});
+    requireOnlyKeys(spec, "mapper spec", {"preset"});
     if (preset->kind != SpecValue::Kind::String)
       throw ParseError("mapper spec: \"preset\" must be a string");
     const MapperPreset* found = findMapperPreset(preset->string);
@@ -105,59 +92,37 @@ std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
 
   const std::string mapper = spec.stringOr("mapper", "");
   if (mapper == "hba") {
-    requireOnlyKeys(spec, {"mapper", "backtracking", "sortByCandidates"});
+    requireOnlyKeys(spec, "mapper spec", {"mapper", "backtracking", "sortByCandidates"});
     HybridMapperOptions opts;
     opts.backtracking = spec.boolOr("backtracking", opts.backtracking);
     opts.sortByCandidates = spec.boolOr("sortByCandidates", opts.sortByCandidates);
     return std::make_shared<HybridMapper>(opts);
   }
   if (mapper == "ea") {
-    requireOnlyKeys(spec, {"mapper", "munkres"});
+    requireOnlyKeys(spec, "mapper spec", {"mapper", "munkres"});
     ExactMapperOptions opts;
     opts.useMunkres = spec.boolOr("munkres", opts.useMunkres);
     return std::make_shared<ExactMapper>(opts);
   }
   if (mapper == "fast-ea") {
-    requireOnlyKeys(spec, {"mapper"});
+    requireOnlyKeys(spec, "mapper spec", {"mapper"});
     return std::make_shared<FastExactMapper>();
   }
   if (mapper == "greedy") {
-    requireOnlyKeys(spec, {"mapper"});
+    requireOnlyKeys(spec, "mapper spec", {"mapper"});
     return std::make_shared<GreedyMapper>();
   }
-  if (mapper == "sat") {
-    requireOnlyKeys(spec, {"mapper", "cubeDepth", "conflictLimit", "learn", "parallelCubes"});
-    SatMapperOptions opts;
-    const double depth = spec.numberOr("cubeDepth", static_cast<double>(opts.cubeDepth));
-    if (!(depth >= 0.0) || depth > 16.0 || depth != std::floor(depth))
-      throw ParseError("mapper spec: \"cubeDepth\" must be an integer in [0, 16]");
-    opts.cubeDepth = static_cast<std::size_t>(depth);
-    const double limit = spec.numberOr("conflictLimit", static_cast<double>(opts.conflictLimit));
-    if (!(limit >= 0.0) || limit > 9007199254740992.0 || limit != std::floor(limit))  // 2^53
-      throw ParseError("mapper spec: \"conflictLimit\" must be a non-negative integer below 2^53");
-    opts.conflictLimit = static_cast<std::uint64_t>(limit);
-    opts.learn = spec.boolOr("learn", opts.learn);
-    opts.parallelCubes = spec.boolOr("parallelCubes", opts.parallelCubes);
-    return std::make_shared<SatMapper>(opts);
-  }
   if (mapper == "approx") {
-    requireOnlyKeys(spec, {"mapper", "inner", "epsilon"});
+    requireOnlyKeys(spec, "mapper spec", {"mapper", "inner", "epsilon"});
     ApproxMapperOptions opts;
     const double epsilon = spec.numberOr("epsilon", opts.epsilon);
     if (!(epsilon >= 0.0) || epsilon > 1.0)
       throw ParseError("mapper spec: \"epsilon\" must be in [0, 1]");
     opts.epsilon = epsilon;
-    std::shared_ptr<const IMapper> inner;
-    if (const SpecValue* innerSpec = spec.find("inner")) {
-      if (innerSpec->kind == SpecValue::Kind::String)
-        inner = makeMapper(innerSpec->string);
-      else
-        inner = mapperFromSpec(*innerSpec);
-    }
-    return std::make_shared<ApproxMapper>(opts, std::move(inner));
+    return std::make_shared<ApproxMapper>(opts, innerFromSpec(spec));
   }
   if (mapper == "colperm") {
-    requireOnlyKeys(spec, {"mapper", "restarts", "seed", "inner"});
+    requireOnlyKeys(spec, "mapper spec", {"mapper", "restarts", "seed", "inner"});
     ColumnPermutationOptions opts;
     const double restarts = spec.numberOr("restarts", static_cast<double>(opts.restarts));
     if (restarts < 0.0 || restarts > 1e6)
@@ -167,14 +132,7 @@ std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
     if (seed < 0.0 || seed > 9007199254740992.0)  // 2^53
       throw ParseError("mapper spec: \"seed\" must be an integer below 2^53");
     opts.seed = static_cast<std::uint64_t>(seed);
-    std::shared_ptr<const IMapper> inner;
-    if (const SpecValue* innerSpec = spec.find("inner")) {
-      if (innerSpec->kind == SpecValue::Kind::String)
-        inner = makeMapper(innerSpec->string);
-      else
-        inner = mapperFromSpec(*innerSpec);
-    }
-    return std::make_shared<ColumnPermutationMapper>(opts, std::move(inner));
+    return std::make_shared<ColumnPermutationMapper>(opts, innerFromSpec(spec));
   }
   throw ParseError("mapper spec: unknown mapper \"" + mapper + "\"");
 }

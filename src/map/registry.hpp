@@ -25,7 +25,7 @@ struct MapperPreset {
 };
 
 /// All registered presets, in presentation order. Guaranteed to cover every
-/// IMapper implementation (hba, ea, fast-ea, greedy, colperm, sat +
+/// IMapper implementation (hba, ea, fast-ea, greedy, colperm, approx +
 /// variants).
 const std::vector<MapperPreset>& mapperPresets();
 
@@ -38,8 +38,7 @@ const MapperPreset* findMapperPreset(const std::string& name);
 ///   {"mapper": "fast-ea"}
 ///   {"mapper": "greedy"}
 ///   {"mapper": "colperm", "restarts": 20, "seed": 42, "inner": <spec|name>}
-///   {"mapper": "sat", "cubeDepth": 2, "conflictLimit": 10000, "learn": true,
-///    "parallelCubes": false}
+///   {"mapper": "approx", "inner": <spec|name>, "epsilon": 0.05}
 ///   {"preset": "hba-nobt"}                      // preset reference
 /// Throws mcx::ParseError on malformed or unknown specs.
 std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec);

@@ -100,7 +100,6 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
     model->generateTracked(rows, fm.cols(), sampleRng, sc.defects, sc.dirty);
     crossbarMatrixInto(sc.defects, sc.cm);
     sc.ctx.setSample(&sc.defects, &sc.dirty);
-    sc.ctx.setExecution(token, pool);
 
     double sec = 0;
     MappingResult mapping;
@@ -111,12 +110,6 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
     } else {
       mapping = mapper.map(fm, sc.cm, sc.ctx);
     }
-
-    // A mapper interrupted mid-solve reached no verdict: leave the sample
-    // unrecorded (!done), exactly like the pre-sample token check above —
-    // an aborted run's recorded samples are a subset of an uninterrupted
-    // rerun's, outcome-identical sample by sample (streams are pre-split).
-    if (mapping.aborted) return;
 
     if (mapping.success && config.verify)
       MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping),

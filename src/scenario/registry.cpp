@@ -47,21 +47,6 @@ std::shared_ptr<const DefectModel> makeComposite(double rate) {
       });
 }
 
-/// Reject unrecognized spec members: a typo'd parameter would otherwise be
-/// silently dropped and the default scenario would run under the wrong
-/// label (the same rationale as the typed accessors in spec.hpp).
-void requireOnlyKeys(const SpecValue& spec, std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : spec.members) {
-    bool known = false;
-    for (const char* name : allowed)
-      if (key == name) {
-        known = true;
-        break;
-      }
-    if (!known) throw ParseError("scenario spec: unknown member \"" + key + "\"");
-  }
-}
-
 }  // namespace
 
 const std::vector<ScenarioPreset>& scenarioPresets() {
@@ -94,7 +79,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
   if (!spec.isObject()) throw ParseError("scenario spec: expected a JSON object");
 
   if (const SpecValue* preset = spec.find("preset")) {
-    requireOnlyKeys(spec, {"preset", "rate"});
+    requireOnlyKeys(spec, "scenario spec", {"preset", "rate"});
     if (preset->kind != SpecValue::Kind::String)
       throw ParseError("scenario spec: \"preset\" must be a string");
     const ScenarioPreset* found = findScenarioPreset(preset->string);
@@ -105,17 +90,17 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
 
   const std::string model = spec.stringOr("model", "");
   if (model == "iid") {
-    requireOnlyKeys(spec, {"model", "open", "closed"});
+    requireOnlyKeys(spec, "scenario spec", {"model", "open", "closed"});
     return std::make_shared<IidBernoulli>(spec.numberOr("open", 0.10),
                                           spec.numberOr("closed", 0.0));
   }
   if (model == "iid-sparse") {
-    requireOnlyKeys(spec, {"model", "open", "closed"});
+    requireOnlyKeys(spec, "scenario spec", {"model", "open", "closed"});
     return std::make_shared<SparseIidBernoulli>(spec.numberOr("open", 0.10),
                                                 spec.numberOr("closed", 0.0));
   }
   if (model == "clustered") {
-    requireOnlyKeys(spec, {"model", "density", "spread", "closedShare"});
+    requireOnlyKeys(spec, "scenario spec", {"model", "density", "spread", "closedShare"});
     ClusteredDefects::Params p;
     p.clusterDensity = spec.numberOr("density", p.clusterDensity);
     p.spread = spec.numberOr("spread", p.spread);
@@ -123,7 +108,8 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
     return std::make_shared<ClusteredDefects>(p);
   }
   if (model == "lines") {
-    requireOnlyKeys(spec, {"model", "rowClosed", "colClosed", "rowOpen", "colOpen"});
+    requireOnlyKeys(spec, "scenario spec",
+                    {"model", "rowClosed", "colClosed", "rowOpen", "colOpen"});
     LineCorrelated::Params p;
     p.rowStuckClosedRate = spec.numberOr("rowClosed", 0.0);
     p.colStuckClosedRate = spec.numberOr("colClosed", 0.0);
@@ -132,7 +118,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
     return std::make_shared<LineCorrelated>(p);
   }
   if (model == "gradient") {
-    requireOnlyKeys(spec, {"model", "center", "edge", "closedShare"});
+    requireOnlyKeys(spec, "scenario spec", {"model", "center", "edge", "closedShare"});
     RadialGradient::Params p;
     p.centerRate = spec.numberOr("center", p.centerRate);
     p.edgeRate = spec.numberOr("edge", p.edgeRate);
@@ -140,7 +126,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
     return std::make_shared<RadialGradient>(p);
   }
   if (model == "composite") {
-    requireOnlyKeys(spec, {"model", "label", "parts"});
+    requireOnlyKeys(spec, "scenario spec", {"model", "label", "parts"});
     const SpecValue* parts = spec.find("parts");
     if (parts == nullptr || !parts->isArray() || parts->array.empty())
       throw ParseError("scenario spec: composite needs a non-empty \"parts\" array");

@@ -227,4 +227,17 @@ bool SpecValue::boolOr(const std::string& key, bool fallback) const {
 
 SpecValue parseSpec(const std::string& text) { return Parser(text).parseDocument(); }
 
+void requireOnlyKeys(const SpecValue& spec, const char* context,
+                     std::initializer_list<const char*> allowed) {
+  for (const auto& [key, value] : spec.members) {
+    bool known = false;
+    for (const char* name : allowed)
+      if (key == name) {
+        known = true;
+        break;
+      }
+    if (!known) throw ParseError(std::string(context) + ": unknown member \"" + key + "\"");
+  }
+}
+
 }  // namespace mcx

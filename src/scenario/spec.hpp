@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,5 +43,13 @@ struct SpecValue {
 /// Parse a complete JSON document; throws mcx::ParseError on malformed
 /// input or trailing garbage.
 SpecValue parseSpec(const std::string& text);
+
+/// Reject members of @p spec not named in @p allowed: a typo'd option would
+/// otherwise be silently dropped and the default would run under the wrong
+/// label (the same rationale as the typed accessors above). Throws
+/// ParseError("<context>: unknown member \"<key>\""), e.g. with context
+/// "mapper spec".
+void requireOnlyKeys(const SpecValue& spec, const char* context,
+                     std::initializer_list<const char*> allowed);
 
 }  // namespace mcx

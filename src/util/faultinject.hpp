@@ -23,7 +23,6 @@
 //   circuit.synthesize — start of every (uncached) circuit build
 //   mc.sample          — start of every Monte Carlo sample
 //   serve.enqueue      — experiment-service request admission
-//   sat.solve          — entry of every SatMapper solve (the SAT backend)
 //   approx.evaluate    — entry of the ApproxMapper rescue path (graded
 //                        partial mapping after an inner-mapper failure)
 #pragma once

@@ -44,6 +44,22 @@ TEST(MapperRegistry, UnknownNameListsPresets) {
   }
 }
 
+TEST(MapperRegistry, SatIsAnUnknownNameListingEveryPreset) {
+  // Exact feasibility has one verdict (Hopcroft-Karp, cross-checked by the
+  // paper's Munkres EA); there is no SAT backend, so "sat" is rejected like
+  // any unknown name, by preset and by spec.
+  EXPECT_EQ(findMapperPreset("sat"), nullptr);
+  try {
+    makeMapper("sat");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    for (const MapperPreset& preset : mapperPresets())
+      EXPECT_NE(what.find(preset.name), std::string::npos) << preset.name;
+  }
+  EXPECT_THROW(makeMapper(R"({"mapper": "sat"})"), ParseError);
+}
+
 TEST(MapperRegistry, SpecOptionsAreApplied) {
   EXPECT_EQ(makeMapper(R"({"mapper": "hba", "backtracking": false})")->name(), "HBA-nobt");
   EXPECT_EQ(makeMapper(R"({"mapper": "ea", "munkres": true})")->name(), "EA-munkres");

@@ -102,6 +102,8 @@ TEST(RequestFuzzTest, MalformedShapesTable) {
       R"({"circuit": "rd53-min", "scenario": "clustered", "open": 0.1})",  // mixed paths
       R"({"circuit": {"circuit": "gen:majority5", "synth": "martians"}})", // bad enum
       R"({"circuit": "rd53-min", "mapper": {"mapper": "ea", "generations": "many"}})",
+      R"({"circuit": "rd53-min", "mapper": "sat"})",              // no SAT backend
+      R"({"circuit": "rd53-min", "mapper": {"mapper": "sat"}})",  //
       "{\"circuit\": \"rd53-min\"",             // unterminated object
       "{\"circuit\": \"rd53-min\", ",           // trailing comma + EOF
       "{\"circuit\": \"rd53\\",                 // dangling escape

@@ -267,56 +267,6 @@ TEST_F(ServiceTest, SynthesisFailureIsInternalAndTheServiceSurvives) {
   EXPECT_EQ(log.response("next").stringOr("status", ""), "ok");
 }
 
-TEST_F(ServiceTest, SatMapperRequestCompletes) {
-  ResponseLog log;
-  ExperimentService service(smallOptions(), log.sink());
-  service.submit(
-      R"({"id": "sat", "circuit": "rd53-min", "mapper": "sat", "samples": 5, "seed": 7})");
-  service.drain();
-  const SpecValue response = log.response("sat");
-  EXPECT_EQ(response.stringOr("status", ""), "ok");
-  EXPECT_EQ(response.stringOr("mapper", ""), "SAT");
-  EXPECT_EQ(response.numberOr("completed", 0), 5.0);
-}
-
-TEST_F(ServiceTest, SatSolveStallHitsDeadlineWithPartialCounts) {
-  // Every sat solve stalls 5ms; 1000 samples against a 100ms budget: the
-  // worker must notice between samples and abort with partial counts, same
-  // contract as the mc.sample stall but through the SAT backend's site.
-  faultinject::arm("sat.solve", {Kind::Stall, 5.0, 0, UINT64_MAX});
-  ResponseLog log;
-  ExperimentService service(smallOptions(), log.sink());
-  service.submit(
-      R"({"id": "slowsat", "circuit": "rd53-min", "mapper": "sat", "samples": 1000, )"
-      R"("seed": 7, "deadline_ms": 100})");
-  service.drain();
-
-  const SpecValue response = log.response("slowsat");
-  EXPECT_EQ(response.stringOr("status", ""), "error");
-  EXPECT_EQ(errorCode(response), "deadline_exceeded");
-  const double completed = response.numberOr("completed", -1);
-  EXPECT_GT(completed, 0.0) << "some samples should finish before the deadline";
-  EXPECT_LT(completed, 1000.0) << "the deadline should cut the run short";
-  EXPECT_EQ(service.counters().deadlineExceeded, 1u);
-}
-
-TEST_F(ServiceTest, SatSolveThrowIsInternalAndTheServiceSurvives) {
-  faultinject::arm("sat.solve", {Kind::Throw, 0, 0, UINT64_MAX});
-  ResponseLog log;
-  ExperimentService service(smallOptions(), log.sink());
-  service.submit(
-      R"({"id": "satboom", "circuit": "rd53-min", "mapper": "sat", "samples": 5, "seed": 7})");
-  ASSERT_TRUE(waitFor([&] { return log.has("satboom"); }));
-  EXPECT_EQ(errorCode(log.response("satboom")), "internal");
-  EXPECT_EQ(service.counters().internalErrors, 1u);
-
-  faultinject::reset();
-  service.submit(
-      R"({"id": "satnext", "circuit": "rd53-min", "mapper": "sat", "samples": 5, "seed": 7})");
-  ASSERT_TRUE(waitFor([&] { return log.has("satnext"); }));
-  EXPECT_EQ(log.response("satnext").stringOr("status", ""), "ok");
-}
-
 TEST_F(ServiceTest, AllocationFailureAtAdmissionIsInternal) {
   faultinject::arm("serve.enqueue", {Kind::BadAlloc, 0, 0, UINT64_MAX});
   ResponseLog log;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "logic/sop_parser.hpp"
 #include "netlist/nand_mapper.hpp"
 #include "util/error.hpp"
@@ -20,6 +22,10 @@ struct TableIIRow {
   const char* name;
   std::size_t i, o, p, area;
 };
+
+// Print the row by name: gtest's default prints the raw bytes, including the
+// address of `name`, which would make the listed test names vary per run.
+void PrintTo(const TableIIRow& row, std::ostream* os) { *os << '"' << row.name << '"'; }
 
 class TableIIAreas : public ::testing::TestWithParam<TableIIRow> {};
 
