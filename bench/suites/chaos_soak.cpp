@@ -64,14 +64,19 @@ struct SoakConfig {
 std::string drawLine(Rng& rng, std::size_t client, std::uint64_t serial) {
   const char* const circuits[] = {"rd53-min", "sqrt8-min", "majority7-min", "bw", "t481"};
   const int draw = rng.uniformInt(0, 99);
-  const std::string id = "c" + std::to_string(client) + "-" + std::to_string(serial);
-  if (draw < 5) return R"({"type": "health", "id": ")" + id + "\"}";
-  if (draw < 8) return R"({"type": "stats", "id": ")" + id + "\"}";
+  // Built with append: GCC 12's -Wrestrict misfires on operator+ chains
+  // that start from a string literal.
+  std::string id = "c";
+  id.append(std::to_string(client)).append("-").append(std::to_string(serial));
+  std::string line;
+  if (draw < 5) return line.append(R"({"type": "health", "id": ")").append(id).append("\"}");
+  if (draw < 8) return line.append(R"({"type": "stats", "id": ")").append(id).append("\"}");
   if (draw < 13) {  // malformed: truncated JSON, the parse path is on duty
-    return R"({"id": ")" + id + R"(", "circuit": )";
+    return line.append(R"({"id": ")").append(id).append(R"(", "circuit": )");
   }
   if (draw < 16) {  // oversized: must be answered and bounded, not buffered
-    return R"({"id": ")" + id + R"(", "circuit": ")" + std::string(5000, 'x') + "\"}";
+    return line.append(R"({"id": ")").append(id).append(R"(", "circuit": ")").append(5000, 'x')
+        .append("\"}");
   }
   std::ostringstream req;
   req << "{\"id\": \"" << id << "\"";

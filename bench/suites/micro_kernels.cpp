@@ -139,13 +139,45 @@ void BM_SamplerLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerLegacy);
 
+// A deck of 64 consecutive bw samples (seed 6) shared by the sampler,
+// adjacency and matching rows. Each iteration takes the next card, so a row
+// reads the mean per-sample cost: a single sample misleads, e.g. seed 6's
+// first one has a perfect greedy seed and skips HK's phases entirely.
+struct BwDeck {
+  static constexpr std::size_t kSize = 64;
+  std::vector<Rng> streams;  ///< generator state before each sample
+  std::vector<DefectMap> defects;
+  std::vector<DirtyRows> dirty;
+  std::vector<BitMatrix> cm, adjacency;
+};
+
+const BwDeck& bwDeck() {
+  static const BwDeck deck = [] {
+    const FunctionMatrix& fm = bwFunctionMatrix();
+    const SparseIidBernoulli model(0.10, 0.0);
+    BwDeck d;
+    Rng rng(6);
+    for (std::size_t i = 0; i < BwDeck::kSize; ++i) {
+      d.streams.push_back(rng);
+      DefectMap& defects = d.defects.emplace_back();
+      model.generateTracked(fm.rows(), fm.cols(), rng, defects, d.dirty.emplace_back());
+      d.cm.push_back(crossbarMatrix(defects));
+      d.adjacency.push_back(buildCandidateAdjacency(fm.bits(), d.cm.back()));
+    }
+    return d;
+  }();
+  return deck;
+}
+
 void BM_SamplerSparse(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
+  const BwDeck& deck = bwDeck();
   const SparseIidBernoulli model(0.10, 0.0);
-  Rng rng(6);
   DefectMap map;
   DirtyRows dirty;
+  std::size_t i = 0;
   for (auto _ : state) {
+    Rng rng = deck.streams[i++ % BwDeck::kSize];
     model.generateTracked(fm.rows(), fm.cols(), rng, map, dirty);
     benchmark::DoNotOptimize(map);
   }
@@ -154,13 +186,11 @@ BENCHMARK(BM_SamplerSparse);
 
 void BM_AdjacencyFull(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
-  Rng rng(6);
-  const SparseIidBernoulli model(0.10, 0.0);
-  const DefectMap defects = model.sample(fm.rows(), fm.cols(), rng);
-  const BitMatrix cm = crossbarMatrix(defects);
+  const BwDeck& deck = bwDeck();
   BitMatrix adjacency;
+  std::size_t i = 0;
   for (auto _ : state) {
-    buildCandidateAdjacencyInto(fm.bits(), cm, adjacency);
+    buildCandidateAdjacencyInto(fm.bits(), deck.cm[i++ % BwDeck::kSize], adjacency);
     benchmark::DoNotOptimize(adjacency);
   }
 }
@@ -168,39 +198,32 @@ BENCHMARK(BM_AdjacencyFull);
 
 void BM_AdjacencyIncremental(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
-  Rng rng(6);
-  const SparseIidBernoulli model(0.10, 0.0);
-  DefectMap defects;
-  DirtyRows dirty;
-  model.generateTracked(fm.rows(), fm.cols(), rng, defects, dirty);
-  const BitMatrix cm = crossbarMatrix(defects);
+  const BwDeck& deck = bwDeck();
   MappingContext ctx;
-  ctx.setSample(&defects, &dirty);
-  for (auto _ : state) benchmark::DoNotOptimize(ctx.candidateAdjacency(fm.bits(), cm));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % BwDeck::kSize;
+    ctx.setSample(&deck.defects[k], &deck.dirty[k]);
+    benchmark::DoNotOptimize(ctx.candidateAdjacency(fm.bits(), deck.cm[k]));
+  }
 }
 BENCHMARK(BM_AdjacencyIncremental);
 
 void BM_MatchingColdStart(benchmark::State& state) {
-  const FunctionMatrix& fm = bwFunctionMatrix();
-  Rng rng(6);
-  const SparseIidBernoulli model(0.10, 0.0);
-  const DefectMap defects = model.sample(fm.rows(), fm.cols(), rng);
-  const BitMatrix cm = crossbarMatrix(defects);
-  const BitMatrix adjacency = buildCandidateAdjacency(fm.bits(), cm);
+  const BwDeck& deck = bwDeck();
+  std::size_t i = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(hopcroftKarp(adjacency, /*warmStart=*/false));
+    benchmark::DoNotOptimize(
+        hopcroftKarp(deck.adjacency[i++ % BwDeck::kSize], /*warmStart=*/false));
 }
 BENCHMARK(BM_MatchingColdStart);
 
 void BM_MatchingWarmStart(benchmark::State& state) {
-  const FunctionMatrix& fm = bwFunctionMatrix();
-  Rng rng(6);
-  const SparseIidBernoulli model(0.10, 0.0);
-  const DefectMap defects = model.sample(fm.rows(), fm.cols(), rng);
-  const BitMatrix cm = crossbarMatrix(defects);
-  const BitMatrix adjacency = buildCandidateAdjacency(fm.bits(), cm);
+  const BwDeck& deck = bwDeck();
+  std::size_t i = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(hopcroftKarp(adjacency, /*warmStart=*/true));
+    benchmark::DoNotOptimize(
+        hopcroftKarp(deck.adjacency[i++ % BwDeck::kSize], /*warmStart=*/true));
 }
 BENCHMARK(BM_MatchingWarmStart);
 

@@ -26,6 +26,8 @@ namespace {
 
 constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
 
+using Word = BitMatrix::Word;
+
 // Adjacency-list view of a BipartiteGraph.
 struct ListGraphView {
   const BipartiteGraph& g;
@@ -39,6 +41,19 @@ struct ListGraphView {
       if (fn(r)) return true;
     }
     return false;
+  }
+
+  /// Neighbors of l still set in @p unseen, in list order; each is cleared
+  /// before fn sees it.
+  template <typename Fn>
+  void forEachUnseenNeighbor(std::size_t l, std::vector<Word>& unseen, Fn&& fn) const {
+    for (const std::size_t r : g.neighbors(l)) {
+      Word& w = unseen[r / BitMatrix::kWordBits];
+      const Word bit = Word{1} << (r % BitMatrix::kWordBits);
+      if ((w & bit) == 0) continue;
+      w &= ~bit;
+      fn(r);
+    }
   }
 
   /// Greedy maximal seed: every left takes its first unmatched neighbor.
@@ -81,12 +96,28 @@ struct BitGraphView {
     return false;
   }
 
+  /// Neighbors of l still set in @p unseen, ascending: each row word is
+  /// ANDed with the mask and the survivors cleared from it, so rights seen
+  /// before are skipped 64 at a time.
+  template <typename Fn>
+  void forEachUnseenNeighbor(std::size_t l, std::vector<Word>& unseen, Fn&& fn) const {
+    const auto words = adj.rowWords(l);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      Word bits = words[i] & unseen[i];
+      if (bits == 0) continue;
+      unseen[i] &= ~bits;
+      while (bits != 0) {
+        fn(i * BitMatrix::kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
+        bits &= bits - 1;
+      }
+    }
+  }
+
   /// Greedy maximal seed, word-parallel: candidate words are ANDed with a
   /// free-rights mask, so already-taken neighbors are skipped 64 at a time
   /// instead of bit by bit (they dominate once the matching fills up).
   std::size_t greedySeed(std::vector<std::size_t>& matchL,
                          std::vector<std::size_t>& matchR) const {
-    using Word = BitMatrix::Word;
     if (adj.rows() == 0 || adj.cols() == 0) return 0;
     const std::size_t words = adj.rowWords(0).size();
     std::vector<Word> free(words, ~Word{0});
@@ -116,6 +147,7 @@ template <typename Graph>
 struct HkEngine {
   Graph g;
   std::vector<std::size_t> matchL, matchR, dist, queue;
+  std::vector<Word> unseen;  ///< rights the current BFS phase has not reached
 
   explicit HkEngine(Graph graph)
       : g(graph),
@@ -123,10 +155,15 @@ struct HkEngine {
         matchR(g.numRight(), MatchingResult::kUnmatched),
         dist(g.numLeft()) {}
 
+  // Each right is visited once per phase. A matched right r leads only to
+  // matchR[r], whose one matched edge is r, so its first visit is the one
+  // that sets dist; a revisit could change nothing. The layering, hence
+  // the DFS and the returned matching, equals that of a full edge scan.
   bool bfs() {
     // Flat FIFO (reused across phases): a std::queue would allocate a deque
     // chunk per phase, on the warm-started per-sample path.
     queue.clear();
+    unseen.assign((g.numRight() + BitMatrix::kWordBits - 1) / BitMatrix::kWordBits, ~Word{0});
     std::size_t head = 0;
     for (std::size_t l = 0; l < g.numLeft(); ++l) {
       if (matchL[l] == MatchingResult::kUnmatched) {
@@ -140,15 +177,14 @@ struct HkEngine {
     while (head < queue.size()) {
       const std::size_t l = queue[head];
       ++head;
-      g.forEachNeighbor(l, [&](std::size_t r) {
+      g.forEachUnseenNeighbor(l, unseen, [&](std::size_t r) {
         const std::size_t next = matchR[r];
         if (next == MatchingResult::kUnmatched) {
           foundAugmenting = true;
-        } else if (dist[next] == kInf) {
+        } else {
           dist[next] = dist[l] + 1;
           queue.push_back(next);
         }
-        return false;
       });
     }
     return foundAugmenting;
@@ -189,8 +225,9 @@ struct HkEngine {
     return result;
   }
 
-  /// Warm-vs-cold phase telemetry. A warm HK run costs ~1µs, so even a
-  /// registry-counter increment is measurable here — everything hides
+  /// Warm-vs-cold phase telemetry. A warm HK run on a bw multi-level
+  /// sample averages ~2µs (~1µs when the greedy seed is already perfect),
+  /// so even a registry-counter increment is measurable — everything hides
   /// behind the profilingArmed() relaxed-load gate (one branch disarmed).
   static void recordHkProfile(bool warmStart, std::size_t phases) {
     if (!obs::profilingArmed()) return;

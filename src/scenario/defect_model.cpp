@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -96,21 +97,27 @@ void SparseIidBernoulli::sampleSparse(std::size_t rows, std::size_t cols, Rng& r
   // Draw order (fixed by rows/cols and the rates alone): one uniform for
   // the defect count, then per defect a (row, column) pair — redrawn while
   // it lands on an already-defective site — and, only when both rates are
-  // nonzero, one uniform for the type. Coordinates come from exact 32-bit
-  // Lemire reductions, two per raw 64-bit draw (crossbars are far below
-  // 2^32 lines; the rejection keeps them exactly uniform).
+  // nonzero, one whole-word uniform for the type. Coordinates come from
+  // exact 32-bit Lemire reductions of consecutive 32-bit halves of the raw
+  // 64-bit draws, low half first (crossbars are far below 2^32 lines; the
+  // rejection keeps them exactly uniform).
   MCX_REQUIRE(rows < (std::uint64_t{1} << 32) && cols < (std::uint64_t{1} << 32),
               "SparseIidBernoulli: dimensions exceed the 32-bit sampler");
   const std::uint64_t count = rng.binomial(
       static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols), total);
   const double closedShare = stuckClosedRate() / total;
-  const bool mixed = stuckClosedRate() > 0.0 && stuckOpenRate() > 0.0;
+  const bool allClosed = stuckOpenRate() <= 0.0;
+  const bool mixed = stuckClosedRate() > 0.0 && !allClosed;
 
+  // Draw from a local copy of the generator: the placement stores go
+  // through raw word pointers the compiler cannot prove disjoint from the
+  // caller's Rng, which would pin its state in memory. Written back below.
+  Rng local = rng;
   std::uint64_t buffered = 0;
   unsigned bufferedHalves = 0;
   const auto next32 = [&]() -> std::uint32_t {
     if (bufferedHalves == 0) {
-      buffered = rng();
+      buffered = local();
       bufferedHalves = 2;
     }
     const auto v = static_cast<std::uint32_t>(buffered);
@@ -131,27 +138,66 @@ void SparseIidBernoulli::sampleSparse(std::size_t rows, std::size_t cols, Rng& r
   const std::uint32_t colReject = rejectBound(cols);
 
   // Placement with raw word access (the per-bit accessors' bounds checks
-  // and span setup would double the cost of this O(defects) loop).
+  // and span setup would double the cost of this O(defects) loop). `place`
+  // returns false, drawing nothing, when the site is already defective. A
+  // single-type sample writes one matrix and leaves the other clear, so it
+  // tests occupancy on that matrix alone.
   using Word = BitMatrix::Word;
   Word* const openBase = out.mutableOpenBits().rowWords(0).data();
   Word* const closedBase = out.mutableClosedBits().rowWords(0).data();
+  Word* const singleBase = allClosed ? closedBase : openBase;
   const std::size_t stride = out.mutableOpenBits().rowWords(0).size();
-  for (std::uint64_t d = 0; d < count; ++d) {
-    for (;;) {
-      const std::size_t r = lemire32(rows, rowReject);
-      const std::size_t c = lemire32(cols, colReject);
-      const std::size_t idx = r * stride + c / BitMatrix::kWordBits;
-      const Word mask = Word{1} << (c % BitMatrix::kWordBits);
-      if (((openBase[idx] | closedBase[idx]) & mask) != 0) continue;  // occupied: redraw
-      DefectType t = DefectType::StuckOpen;
-      if (stuckOpenRate() <= 0.0)
-        t = DefectType::StuckClosed;
-      else if (mixed && rng.uniform() < closedShare)
-        t = DefectType::StuckClosed;
-      (t == DefectType::StuckOpen ? openBase : closedBase)[idx] |= mask;
-      break;
+  const auto place = [&](auto mixedTag, std::size_t r, std::size_t c) {
+    const std::size_t idx = r * stride + c / BitMatrix::kWordBits;
+    const Word mask = Word{1} << (c % BitMatrix::kWordBits);
+    if constexpr (decltype(mixedTag)::value) {
+      if (((openBase[idx] | closedBase[idx]) & mask) != 0) return false;
+      (local.uniform() < closedShare ? closedBase : openBase)[idx] |= mask;
+    } else {
+      if ((singleBase[idx] & mask) != 0) return false;
+      singleBase[idx] |= mask;
     }
-  }
+    return true;
+  };
+
+  // Aligned stream: while no reduction has rejected, each candidate site
+  // consumes exactly one raw draw — row from the low half, column from the
+  // high half — and a type uniform is the next whole draw. That is the
+  // pairing next32 produces while its buffer is empty at every site, so
+  // this loop skips the buffer. A rejection shifts the halves; the rest of
+  // the sample then runs on the half-buffered loop.
+  const auto placeAll = [&](auto mixedTag) {
+    std::uint64_t left = count;
+    while (left != 0) {
+      const std::uint64_t x = local();
+      const std::uint64_t mr = (x & 0xffffffffu) * rows;
+      if (static_cast<std::uint32_t>(mr) < rowReject) {
+        buffered = x >> 32;  // the high half is the row's next candidate
+        bufferedHalves = 1;
+        break;
+      }
+      const std::uint64_t mc = (x >> 32) * cols;
+      if (static_cast<std::uint32_t>(mc) < colReject) {
+        // The row stands; its column redraws from fresh halves.
+        if (place(mixedTag, static_cast<std::size_t>(mr >> 32), lemire32(cols, colReject)))
+          --left;
+        break;
+      }
+      if (place(mixedTag, static_cast<std::size_t>(mr >> 32), static_cast<std::size_t>(mc >> 32)))
+        --left;
+    }
+    for (; left != 0; --left) {
+      for (;;) {
+        const std::size_t r = lemire32(rows, rowReject);  // row before column
+        if (place(mixedTag, r, lemire32(cols, colReject))) break;
+      }
+    }
+  };
+  if (mixed)
+    placeAll(std::true_type{});
+  else
+    placeAll(std::false_type{});
+  rng = local;
   // Defect sites arrive in random order; recover the sorted dirty-row list
   // with a word-level scan of the finished map (O(area/64), far below the
   // sampling cost it replaces).

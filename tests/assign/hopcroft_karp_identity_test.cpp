@@ -1,0 +1,132 @@
+// Matching identity of the bit-matrix Hopcroft-Karp: its word-parallel BFS
+// (each right visited once per phase) must return exactly the matching of a
+// textbook implementation that scans every edge bit by bit, with the same
+// greedy seed and the same DFS.
+#include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "assign/hopcroft_karp.hpp"
+#include "benchdata/registry.hpp"
+#include "map/matching.hpp"
+#include "netlist/nand_mapper.hpp"
+#include "scenario/registry.hpp"
+#include "util/rng.hpp"
+#include "xbar/defects.hpp"
+#include "xbar/multilevel_layout.hpp"
+
+namespace mcx {
+namespace {
+
+struct TextbookHk {
+  static constexpr std::size_t kFree = MatchingResult::kUnmatched;
+  static constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
+  const BitMatrix& adj;
+  std::vector<std::size_t> matchL, matchR, dist;
+
+  bool bfs() {
+    std::vector<std::size_t> queue;
+    for (std::size_t l = 0; l < adj.rows(); ++l) {
+      dist[l] = matchL[l] == kFree ? 0 : kInf;
+      if (dist[l] == 0) queue.push_back(l);
+    }
+    bool found = false;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t l = queue[head];
+      for (std::size_t r = 0; r < adj.cols(); ++r) {
+        if (!adj.test(l, r)) continue;
+        if (matchR[r] == kFree) {
+          found = true;
+        } else if (dist[matchR[r]] == kInf) {
+          dist[matchR[r]] = dist[l] + 1;
+          queue.push_back(matchR[r]);
+        }
+      }
+    }
+    return found;
+  }
+
+  bool dfs(std::size_t l) {
+    for (std::size_t r = 0; r < adj.cols(); ++r) {
+      if (!adj.test(l, r)) continue;
+      const std::size_t next = matchR[r];
+      if (next == kFree || (dist[next] == dist[l] + 1 && dfs(next))) {
+        matchL[l] = r;
+        matchR[r] = l;
+        return true;
+      }
+    }
+    dist[l] = kInf;
+    return false;
+  }
+
+  MatchingResult run(bool warmStart) {
+    matchL.assign(adj.rows(), kFree);
+    matchR.assign(adj.cols(), kFree);
+    dist.assign(adj.rows(), 0);
+    MatchingResult result;
+    for (std::size_t l = 0; warmStart && l < adj.rows(); ++l) {
+      for (std::size_t r = 0; r < adj.cols(); ++r) {
+        if (!adj.test(l, r) || matchR[r] != kFree) continue;
+        matchL[l] = r;
+        matchR[r] = l;
+        ++result.size;
+        break;
+      }
+    }
+    while (bfs())
+      for (std::size_t l = 0; l < adj.rows(); ++l)
+        if (matchL[l] == kFree && dfs(l)) ++result.size;
+    result.matchOfLeft = matchL;
+    return result;
+  }
+};
+
+void expectSameMatching(const BitMatrix& adj, const std::string& label, bool alsoCold = true) {
+  for (const bool warm : {true, false}) {
+    if (!warm && !alsoCold) continue;
+    SCOPED_TRACE(label + (warm ? " warm" : " cold"));
+    const MatchingResult want = TextbookHk{adj, {}, {}, {}}.run(warm);
+    const MatchingResult got = hopcroftKarp(adj, warm);
+    EXPECT_EQ(got.size, want.size);
+    EXPECT_EQ(got.matchOfLeft, want.matchOfLeft);
+  }
+}
+
+TEST(HopcroftKarpIdentity, MatchesTextbookOnRandomRectangularAdjacencies) {
+  Rng rng(0x4b0b);
+  const std::size_t shapes[][2] = {{5, 7}, {37, 41}, {63, 65}, {70, 100}, {100, 70}, {129, 191}};
+  for (const auto& shape : shapes) {
+    for (const double density : {0.05, 0.2, 0.5, 0.8, 0.95}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        BitMatrix adj(shape[0], shape[1]);
+        for (std::size_t l = 0; l < shape[0]; ++l)
+          for (std::size_t r = 0; r < shape[1]; ++r)
+            if (rng.bernoulli(density)) adj.set(l, r);
+        expectSameMatching(adj, std::to_string(shape[0]) + "x" + std::to_string(shape[1]) +
+                                    " p=" + std::to_string(density));
+      }
+    }
+  }
+}
+
+TEST(HopcroftKarpIdentity, MatchesTextbookOnBwMultiLevelSamples) {
+  const MultiLevelLayout layout =
+      buildMultiLevelLayout(mapToNand(loadBenchmarkFast("bw").cover));
+  const auto model = makeScenario("paper-iid", 0.10);
+  Rng rng(0xb3);
+  DefectMap defects;
+  for (int s = 0; s < 200; ++s) {
+    model->generate(layout.fm.rows(), layout.fm.cols(), rng, defects);
+    // Warm is the engine's path; every tenth sample also runs cold, where
+    // the BFS layers the whole 289-row graph phase after phase.
+    expectSameMatching(buildCandidateAdjacency(layout.fm.bits(), crossbarMatrix(defects)),
+                       "bw sample " + std::to_string(s), s % 10 == 0);
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+}  // namespace
+}  // namespace mcx
