@@ -36,6 +36,10 @@ inline std::string jsonOutputPath(const std::string& fallback) {
   return (env != nullptr && *env != '\0') ? env : fallback;
 }
 
+/// The "scenario" label of rows drawn by the legacy IidBernoulli (the same
+/// label the builder and the service report for legacyRates declarations).
+inline const std::string kLegacyScenario = "iid (legacy rates)";
+
 struct SweepOutcome {
   /// The result of the first (threads = sweep.front()) run.
   DefectExperimentResult reference;
@@ -43,14 +47,16 @@ struct SweepOutcome {
   double wallAt1 = 0;
 };
 
+/// @p scenario labels the row's defect model in the JSON ("iid (legacy
+/// rates)" for the legacy IidBernoulli rows, describe() otherwise).
 inline SweepOutcome runThreadsSweep(const FunctionMatrix& fm, const IMapper& mapper,
-                                    DefectExperimentConfig cfg,
+                                    DefectExperimentConfig cfg, const std::string& scenario,
                                     const std::vector<std::size_t>& sweep, JsonWriter& json) {
   SweepOutcome out;
   cfg.timePerSample = true;  // the benches report the paper's "Time" column
   json.beginObject();
   json.field("mapper", mapper.name());
-  json.field("scenario", cfg.model ? cfg.model->describe() : std::string("iid (legacy rates)"));
+  json.field("scenario", scenario);
   json.key("runs").beginArray();
   for (const std::size_t threads : sweep) {
     cfg.threads = threads;

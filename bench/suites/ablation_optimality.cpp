@@ -1,10 +1,12 @@
 // Ablation A9: heuristic optimality gap against the exact verdict.
 //
 // Runs every heuristic mapper variant and both exact solvers on the SAME
-// per-sample defect maps (forEachDefectSample pre-splits the RNG streams,
-// so every mapper sees bit-identical crossbars) and reports, per circuit x
-// defect rate, how far each heuristic's yield falls short of the exact
-// verdict. Two invariants are enforced, not just reported:
+// per-sample defect maps (one runDefectExperiment per mapper at the same
+// seed: the engine pre-splits one RNG stream per sample, so every mapper
+// sees bit-identical crossbars) and compares the verdicts sample by sample,
+// reporting per circuit x defect rate how far each heuristic's yield falls
+// short of the exact verdict. Two invariants are enforced, not just
+// reported:
 //
 //   * the exact verdict — fast-ea, Hopcroft-Karp on the candidate
 //     adjacency — must equal the paper's EA (ea-munkres, a zero-cost
@@ -48,10 +50,6 @@ int runOptimality(const std::vector<std::string>& args) {
   const std::string jsonPath = common.jsonOr("BENCH_optimality.json");
 
   const std::vector<std::string> heuristics = {"greedy", "hba-nobt", "hba"};
-  std::vector<std::shared_ptr<const IMapper>> heuristicMappers;
-  for (const std::string& name : heuristics) heuristicMappers.push_back(makeMapper(name));
-  const std::shared_ptr<const IMapper> fastEa = makeMapper("fast-ea");
-  const std::shared_ptr<const IMapper> munkres = makeMapper("ea-munkres");
 
   std::ofstream jsonFile(jsonPath);
   JsonWriter json(jsonFile);
@@ -72,24 +70,30 @@ int runOptimality(const std::vector<std::string>& args) {
       DefectExperimentConfig config;
       config.samples = samples;
       config.seed = seed;
-      config.stuckOpenRate = rate;
+      config.model = std::make_shared<IidBernoulli>(rate);
+      config.keepMappings = true;
+      const auto verdicts = [&](const std::string& mapper) {
+        return runDefectExperiment(circuit->fm, *makeMapper(mapper), config).mappings;
+      };
+      const std::vector<MappingResult> exact = verdicts("fast-ea");
+      const std::vector<MappingResult> munkres = verdicts("ea-munkres");
 
       std::size_t exactOk = 0;
       std::size_t cellMismatches = 0;
+      for (std::size_t s = 0; s < samples; ++s) {
+        if (exact[s].success) ++exactOk;
+        if (munkres[s].success != exact[s].success) ++cellMismatches;
+      }
       std::vector<std::size_t> heurOk(heuristics.size(), 0);
       std::vector<std::size_t> heurContradictions(heuristics.size(), 0);
-
-      forEachDefectSample(
-          circuit->fm, config, [&](std::size_t, const DefectMap&, const BitMatrix& cm) {
-            const bool exact = fastEa->map(circuit->fm, cm).success;
-            if (munkres->map(circuit->fm, cm).success != exact) ++cellMismatches;
-            if (exact) ++exactOk;
-            for (std::size_t h = 0; h < heuristics.size(); ++h) {
-              const bool ok = heuristicMappers[h]->map(circuit->fm, cm).success;
-              if (ok) ++heurOk[h];
-              if (ok && !exact) ++heurContradictions[h];
-            }
-          });
+      for (std::size_t h = 0; h < heuristics.size(); ++h) {
+        const std::vector<MappingResult> heuristic = verdicts(heuristics[h]);
+        for (std::size_t s = 0; s < samples; ++s) {
+          if (!heuristic[s].success) continue;
+          ++heurOk[h];
+          if (!exact[s].success) ++heurContradictions[h];
+        }
+      }
 
       json.beginObject();
       json.field("circuit", circuitName);

@@ -11,6 +11,7 @@
 #include "api/driver.hpp"
 #include "circuit/cache.hpp"
 #include "map/redundant_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "util/text_table.hpp"
 
 namespace {
@@ -54,7 +55,7 @@ int runRedundancy(const std::vector<std::string>& args) {
       for (std::size_t s = 0; s < samples; ++s) {
         Rng sampleRng = rng.split();
         const DefectMap defects =
-            DefectMap::sample(dims.rows, dims.cols, sc.open, sc.closed, sampleRng);
+            IidBernoulli(sc.open, sc.closed).sample(dims.rows, dims.cols, sampleRng);
         if (mapper.map(fm, defects, 77 + s).success) ++successes;
       }
       const double overhead =

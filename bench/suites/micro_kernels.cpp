@@ -50,7 +50,7 @@ void BM_RowMatching(benchmark::State& state) {
   const Cover cover = benchCover(14, static_cast<std::size_t>(state.range(0)));
   const FunctionMatrix fm = buildFunctionMatrix(cover);
   Rng rng(2);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
+  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -64,7 +64,7 @@ void BM_MatchingMatrix(benchmark::State& state) {
   const Cover cover = benchCover(12, static_cast<std::size_t>(state.range(0)));
   const FunctionMatrix fm = buildFunctionMatrix(cover);
   Rng rng(3);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
+  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   std::vector<std::size_t> rows(fm.rows());
   for (std::size_t r = 0; r < fm.rows(); ++r) rows[r] = r;
@@ -231,7 +231,7 @@ void BM_MapHba(benchmark::State& state) {
   const BenchmarkCircuit bench = loadBenchmarkFast("alu4");
   const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
   Rng rng(5);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
+  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   const HybridMapper mapper;
   for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm));
@@ -242,7 +242,7 @@ void BM_MapEa(benchmark::State& state) {
   const BenchmarkCircuit bench = loadBenchmarkFast("alu4");
   const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
   Rng rng(5);
-  const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, rng);
+  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
   const ExactMapper mapper;
   for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm));

@@ -100,12 +100,12 @@ int runMultilevelDefect(const std::vector<std::string>& args) {
     const MultiLevelLayout& layout = *circuit->layout;
     const FunctionMatrix& fm = circuit->fm;
 
-    // Legacy rate-pair configuration: draw-for-draw identical to the
-    // pre-scenario engine, so these success counts are the bit-identity
-    // regression surface of the committed JSON.
+    // Legacy IidBernoulli configuration: the paper's one-draw-per-crosspoint
+    // stream, so these success counts are the bit-identity regression
+    // surface of the committed JSON.
     DefectExperimentConfig cfg;
     cfg.samples = samples;
-    cfg.stuckOpenRate = 0.10;
+    cfg.model = std::make_shared<IidBernoulli>(0.10);
     cfg.seed = 0x51a;
     cfg.keepMappings = true;
 
@@ -123,49 +123,55 @@ int runMultilevelDefect(const std::vector<std::string>& args) {
     const ExactMapper ea;
 
     json.key("mappers").beginArray();
-    const benchutil::SweepOutcome hbaOut = benchutil::runThreadsSweep(fm, hba, cfg, sweep, json);
-    const benchutil::SweepOutcome eaOut = benchutil::runThreadsSweep(fm, ea, cfg, sweep, json);
+    const std::string& legacy = benchutil::kLegacyScenario;
+    const std::string sparse = sparseCfg.model->describe();
+    const benchutil::SweepOutcome hbaOut =
+        benchutil::runThreadsSweep(fm, hba, cfg, legacy, sweep, json);
+    const benchutil::SweepOutcome eaOut =
+        benchutil::runThreadsSweep(fm, ea, cfg, legacy, sweep, json);
     const benchutil::SweepOutcome hbaSparse =
-        benchutil::runThreadsSweep(fm, hba, sparseCfg, sweep, json);
+        benchutil::runThreadsSweep(fm, hba, sparseCfg, sparse, sweep, json);
     const benchutil::SweepOutcome eaSparse =
-        benchutil::runThreadsSweep(fm, ea, sparseCfg, sweep, json);
+        benchutil::runThreadsSweep(fm, ea, sparseCfg, sparse, sweep, json);
     json.endArray();
     const bool circuitDeterministic = hbaOut.deterministic && eaOut.deterministic &&
                                       hbaSparse.deterministic && eaSparse.deterministic;
     allDeterministic = allDeterministic && circuitDeterministic;
 
     // Spot-check successful HBA mappings functionally: re-derive each
-    // sample's defect map (identical streams by the engine contract) and
-    // simulate the mapped crossbar on random inputs. Runs for the legacy
-    // AND the sparse stream.
+    // sample's defect map from its engine stream (splitSampleStreams(seed,
+    // n)[s]) and simulate the mapped crossbar on random inputs. Runs for
+    // the legacy AND the sparse stream.
     std::size_t validated = 0, validationChecks = 0;
     const TruthTable ref = TruthTable::fromCover(circuit->cover);
     for (const auto* run : {&hbaOut, &hbaSparse}) {
       const DefectExperimentResult& reference = run->reference;
       const DefectExperimentConfig& runCfg = run == &hbaOut ? cfg : sparseCfg;
+      const std::vector<Rng> streams = splitSampleStreams(runCfg.seed, runCfg.samples);
       std::size_t budget = 10;
-      forEachDefectSample(
-          fm, runCfg, [&](std::size_t s, const DefectMap& defects, const BitMatrix&) {
-            const MappingResult& mapping = reference.mappings[s];
-            if (!mapping.success || budget == 0) return;
-            --budget;
-            ++validationChecks;
-            bool good = true;
-            Rng inputRng(900 + s);
-            for (int check = 0; check < 16 && good; ++check) {
-              DynBits in(circuit->cover.nin());
-              std::size_t minterm = 0;
-              for (std::size_t v = 0; v < circuit->cover.nin(); ++v) {
-                const bool bit = inputRng.bernoulli(0.5);
-                in.set(v, bit);
-                minterm |= static_cast<std::size_t>(bit) << v;
-              }
-              const DynBits out = simulateMultiLevel(layout, mapping.rowAssignment, defects, in);
-              for (std::size_t o = 0; o < circuit->cover.nout(); ++o)
-                if (out.test(o) != ref.get(o, minterm)) good = false;
-            }
-            if (good) ++validated;
-          });
+      for (std::size_t s = 0; s < runCfg.samples && budget > 0; ++s) {
+        const MappingResult& mapping = reference.mappings[s];
+        if (!mapping.success) continue;
+        --budget;
+        ++validationChecks;
+        Rng sampleRng = streams[s];
+        const DefectMap defects = runCfg.model->sample(fm.rows(), fm.cols(), sampleRng);
+        bool good = true;
+        Rng inputRng(900 + s);
+        for (int check = 0; check < 16 && good; ++check) {
+          DynBits in(circuit->cover.nin());
+          std::size_t minterm = 0;
+          for (std::size_t v = 0; v < circuit->cover.nin(); ++v) {
+            const bool bit = inputRng.bernoulli(0.5);
+            in.set(v, bit);
+            minterm |= static_cast<std::size_t>(bit) << v;
+          }
+          const DynBits out = simulateMultiLevel(layout, mapping.rowAssignment, defects, in);
+          for (std::size_t o = 0; o < circuit->cover.nout(); ++o)
+            if (out.test(o) != ref.get(o, minterm)) good = false;
+        }
+        if (good) ++validated;
+      }
     }
     json.field("sim_validated", validated);
     json.field("sim_checks", validationChecks);

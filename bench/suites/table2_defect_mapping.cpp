@@ -69,7 +69,7 @@ int runTable2(const std::vector<std::string>& args) {
 
     DefectExperimentConfig cfg;
     cfg.samples = samples;
-    cfg.stuckOpenRate = 0.10;
+    cfg.model = std::make_shared<IidBernoulli>(0.10);
     cfg.seed = 0x7ab1e2;
 
     json.beginObject();
@@ -77,8 +77,10 @@ int runTable2(const std::vector<std::string>& args) {
     json.field("area", fm.dims().area());
 
     json.key("mappers").beginArray();
-    const benchutil::SweepOutcome hbaOut = benchutil::runThreadsSweep(fm, hba, cfg, sweep, json);
-    const benchutil::SweepOutcome eaOut = benchutil::runThreadsSweep(fm, ea, cfg, sweep, json);
+    const benchutil::SweepOutcome hbaOut =
+        benchutil::runThreadsSweep(fm, hba, cfg, benchutil::kLegacyScenario, sweep, json);
+    const benchutil::SweepOutcome eaOut =
+        benchutil::runThreadsSweep(fm, ea, cfg, benchutil::kLegacyScenario, sweep, json);
     json.endArray();
     json.endObject();
     allDeterministic = allDeterministic && hbaOut.deterministic && eaOut.deterministic;

@@ -53,6 +53,8 @@ std::string ExperimentResult::toJson() const {
   return out.str();
 }
 
+ExperimentBuilder::ExperimentBuilder() { legacyRates(0.10); }
+
 ExperimentBuilder& ExperimentBuilder::circuit(const std::string& nameOrSpec) {
   return circuit(makeCircuitSpec(nameOrSpec));
 }
@@ -112,10 +114,8 @@ ExperimentBuilder& ExperimentBuilder::scenario(std::shared_ptr<const DefectModel
 }
 
 ExperimentBuilder& ExperimentBuilder::legacyRates(double stuckOpen, double stuckClosed) {
-  config_.model.reset();
-  config_.stuckOpenRate = stuckOpen;
-  config_.stuckClosedRate = stuckClosed;
-  scenarioLabel_.clear();
+  config_.model = std::make_shared<IidBernoulli>(stuckOpen, stuckClosed);
+  scenarioLabel_ = "iid (legacy rates)";
   return *this;
 }
 
@@ -211,7 +211,7 @@ ExperimentResult ExperimentBuilder::run() const {
   }
 
   result.mapper = mapper_->name();
-  result.scenario = config_.model ? scenarioLabel_ : std::string("iid (legacy rates)");
+  result.scenario = scenarioLabel_;
   result.rows = fm.rows();
   result.cols = fm.cols();
 

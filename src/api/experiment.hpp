@@ -23,9 +23,11 @@
 //   ExperimentBuilder().circuit("file:examples/data/adder.pla").mapper("hba")...
 //
 // The builder is a declaration, not an engine: run() delegates to
-// runDefectExperiment, so results are bit-identical to hand-built configs —
-// including the legacy i.i.d. rate-pair path (legacyRates), the regression
-// anchor of the committed BENCH_defect_mc.json success counts.
+// runDefectExperiment, so results are bit-identical to hand-built configs.
+// legacyRates() declares the paper's IidBernoulli draw under the label
+// "iid (legacy rates)" — the regression anchor of the committed
+// BENCH_defect_mc.json success counts — and a builder with no scenario
+// declared runs legacyRates(0.10), the paper's Table II setting.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +80,9 @@ struct ExperimentResult {
 
 class ExperimentBuilder {
 public:
+  /// Starts from legacyRates(0.10): every declaration names its defects.
+  ExperimentBuilder();
+
   // --- circuit ------------------------------------------------------------
   /// Circuit registry preset ("rd53"), prefixed source ("file:adder.pla",
   /// "gen:weight5", ...) or JSON pipeline spec — see circuit/registry.hpp.
@@ -110,8 +115,9 @@ public:
   /// Registry preset (built at @p rate) or JSON model spec.
   ExperimentBuilder& scenario(const std::string& nameOrSpec, double rate = 0.10);
   ExperimentBuilder& scenario(std::shared_ptr<const DefectModel> model);
-  /// The legacy i.i.d. rate-pair path (null model): draw-for-draw identical
-  /// to the pre-scenario engine — the bit-identity regression surface.
+  /// The paper's i.i.d. draw, IidBernoulli(stuckOpen, stuckClosed),
+  /// labeled "iid (legacy rates)": the bit-identity regression surface.
+  /// Bad rates throw mcx::InvalidArgument here, at declaration.
   ExperimentBuilder& legacyRates(double stuckOpen, double stuckClosed = 0.0);
 
   // --- knobs --------------------------------------------------------------

@@ -10,38 +10,13 @@
 
 namespace mcx {
 
-namespace {
-
-/// The configured scenario, or the legacy rate-pair model when unset.
-std::shared_ptr<const DefectModel> resolveModel(const DefectExperimentConfig& config) {
-  if (config.model) return config.model;
-  return std::make_shared<IidBernoulli>(config.stuckOpenRate, config.stuckClosedRate);
-}
-
-}  // namespace
-
-void forEachDefectSample(const FunctionMatrix& fm, const DefectExperimentConfig& config,
-                         const std::function<void(std::size_t, const DefectMap&,
-                                                  const BitMatrix&)>& fn) {
-  const std::shared_ptr<const DefectModel> model = resolveModel(config);
-  const std::vector<Rng> streams = splitSampleStreams(config.seed, config.samples);
-  const std::size_t rows = fm.rows() + config.spareRows;
-  DefectMap defects;
-  BitMatrix cm;
-  for (std::size_t s = 0; s < config.samples; ++s) {
-    Rng sampleRng = streams[s];
-    model->generate(rows, fm.cols(), sampleRng, defects);
-    crossbarMatrixInto(defects, cm);
-    fn(s, defects, cm);
-  }
-}
-
 DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapper& mapper,
                                            const DefectExperimentConfig& config) {
+  MCX_REQUIRE(config.model != nullptr, "runDefectExperiment: no defect model");
+  const DefectModel& model = *config.model;
   DefectExperimentResult result;
   result.samples = config.samples;
 
-  const std::shared_ptr<const DefectModel> model = resolveModel(config);
   // The RNG pre-split happens up front, unconditionally: an aborted run
   // consumes no stream a rerun would need, so cancel-then-rerun reproduces
   // the full run bit-identically (the regression surface of the committed
@@ -97,7 +72,7 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
 
     Scratch& sc = scratch[worker];
     Rng sampleRng = streams[s];
-    model->generateTracked(rows, fm.cols(), sampleRng, sc.defects, sc.dirty);
+    model.generateTracked(rows, fm.cols(), sampleRng, sc.defects, sc.dirty);
     crossbarMatrixInto(sc.defects, sc.cm);
     sc.ctx.setSample(&sc.defects, &sc.dirty);
 

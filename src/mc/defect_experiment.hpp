@@ -1,10 +1,14 @@
 // Monte Carlo defect-tolerant mapping experiments (Section V of the paper).
 //
 // For each sample a fresh defect map is drawn from the configured
-// DefectModel (default: the paper's independent uniform per-crosspoint
-// rates), the crossbar matrix is derived, and the mapper under test runs on
-// an optimum-size (or redundant) crossbar. Success rate and runtime are
-// accumulated — the quantities of Table II.
+// DefectModel (required; IidBernoulli is the paper's independent uniform
+// per-crosspoint draw), the crossbar matrix is derived, and the mapper under
+// test runs on an optimum-size (or redundant) crossbar. Success rate and
+// runtime are accumulated — the quantities of Table II.
+//
+// This is the one sampling loop: callers that need a sample's defect map
+// again re-derive it from splitSampleStreams(seed, samples)[s] and
+// DefectModel::sample, the stream the engine used for sample s.
 //
 // The engine is parallel and deterministic: the root RNG is pre-split into
 // one stream per sample (in sample order), samples are distributed over a
@@ -14,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,7 +26,6 @@
 #include "mc/cancel.hpp"
 #include "mc/stats.hpp"
 #include "scenario/defect_model.hpp"
-#include "xbar/defects.hpp"
 #include "xbar/function_matrix.hpp"
 
 namespace mcx {
@@ -32,12 +34,10 @@ class ExecutorPool;
 
 struct DefectExperimentConfig {
   std::size_t samples = 200;       ///< the paper's sample size
-  double stuckOpenRate = 0.10;     ///< the paper's Table II rate
-  double stuckClosedRate = 0.0;    ///< paper: only stuck-open on optimum size
   std::size_t spareRows = 0;       ///< redundancy extension (A1)
-  /// Defect-pattern generator (the scenario subsystem). Null keeps the
-  /// legacy rate-pair behaviour — an IidBernoulli at stuckOpenRate /
-  /// stuckClosedRate, draw-for-draw identical to the pre-scenario engine.
+  /// Defect-pattern generator (the scenario subsystem). Required:
+  /// runDefectExperiment throws InvalidArgument on null. The paper's Table
+  /// II setting is IidBernoulli(0.10), stuck-open only.
   std::shared_ptr<const DefectModel> model;
   std::uint64_t seed = 1;
   /// Worker threads; 0 = hardware concurrency. Results do not depend on
@@ -133,17 +133,9 @@ struct DefectExperimentResult {
 
 /// Run the Monte Carlo sweep. The mapper's map() must be safe to call
 /// concurrently from several threads (all library mappers are stateless).
+/// Throws InvalidArgument when config.model is null.
 DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm,
                                            const IMapper& mapper,
                                            const DefectExperimentConfig& config);
-
-/// Per-sample callback variant (used by the yield/redundancy benches to run
-/// several mappers on identical defect draws). Callbacks run sequentially on
-/// the calling thread, in sample order; the defect draws are the same
-/// streams runDefectExperiment would use. The DefectMap/BitMatrix references
-/// point into reused scratch buffers — copy them to retain a sample.
-void forEachDefectSample(const FunctionMatrix& fm, const DefectExperimentConfig& config,
-                         const std::function<void(std::size_t, const DefectMap&,
-                                                  const BitMatrix&)>& fn);
 
 }  // namespace mcx

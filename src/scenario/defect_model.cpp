@@ -51,9 +51,22 @@ std::string IidBernoulli::describe() const {
 
 void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
                             DefectMap& out) const {
-  // Delegate to the paper's sampler: the scenario API must be draw-for-draw
-  // identical to the legacy rate-pair path.
-  out.resample(rows, cols, open_, closed_, rng);
+  // The paper's defect generation ("assigning an independent defect
+  // probability/rate to each crosspoint that shows a uniform distribution"):
+  // one uniform draw per crosspoint, row by row, split into stuck-open /
+  // stuck-closed / functional by the rates.
+  out.reshape(rows, cols);
+  BitMatrix& open = out.mutableOpenBits();
+  BitMatrix& closed = out.mutableClosedBits();
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double u = rng.uniform();
+      if (u < open_)
+        open.set(r, c);
+      else if (u < open_ + closed_)
+        closed.set(r, c);
+    }
+  }
 }
 
 // ---------------------------------------------------- SparseIidBernoulli
@@ -82,7 +95,7 @@ void SparseIidBernoulli::sampleSparse(std::size_t rows, std::size_t cols, Rng& r
   if (total > kDenseRateCutoff) {
     // Dense regime: the distinct-site rejection loop would redraw too
     // often; the parent's one-draw-per-crosspoint sweep wins.
-    out.resample(rows, cols, stuckOpenRate(), stuckClosedRate(), rng);
+    IidBernoulli::generate(rows, cols, rng, out);
     if (dirty != nullptr) dirty->scan(out);
     return;
   }

@@ -54,9 +54,9 @@ public:
 };
 
 /// The paper's model: every crosspoint fails independently at flat
-/// stuck-open / stuck-closed rates. Draw-for-draw identical to
-/// DefectMap::resample, so experiments routed through the scenario API
-/// reproduce the pre-scenario engine exactly.
+/// stuck-open / stuck-closed rates, one uniform draw per crosspoint in
+/// row-major order. The legacy anchor: this draw sequence is the one every
+/// committed legacy-rate bench count was measured on.
 class IidBernoulli : public DefectModel {
 public:
   explicit IidBernoulli(double stuckOpenRate, double stuckClosedRate = 0.0);

@@ -53,7 +53,7 @@ const std::vector<ScenarioPreset>& scenarioPresets() {
   static const std::vector<ScenarioPreset> presets = {
       // The i.i.d. presets run the O(defects) sparse sampler: same
       // distribution as the paper's sweep, different stream. The
-      // draw-for-draw legacy anchor is the engine's null-model rate pair.
+      // draw-for-draw legacy anchor is IidBernoulli (the builder's legacyRates).
       {"paper-iid", "the paper's model: i.i.d. stuck-open only (Tables II-III)",
        [](double rate) { return std::make_shared<SparseIidBernoulli>(rate, 0.0); }},
       {"iid-mixed", "i.i.d. with 10% of defects stuck-closed (line poisoning)",

@@ -6,6 +6,7 @@
 #include "circuit/registry.hpp"
 #include "map/registry.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/defect_model.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 #include "serve/error.hpp"
@@ -133,6 +134,9 @@ Request parseRequest(const std::string& line, const RequestLimits& limits) {
       req.scenario = nullptr;  // legacy rate-pair path
       req.legacyOpen = rateOr(doc, "open", rate);
       req.legacyClosed = rateOr(doc, "closed", 0.0);
+      // The pair is checked as the model that will draw it: an over-budget
+      // open + closed is a parse error here, not an engine failure later.
+      static_cast<void>(IidBernoulli(req.legacyOpen, req.legacyClosed));
       req.scenarioLabel = "iid (legacy rates)";
     } else {
       if (doc.find("open") != nullptr || doc.find("closed") != nullptr)

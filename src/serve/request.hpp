@@ -16,9 +16,9 @@
 //                spec object (required)
 //   mapper       preset name or mapper spec object (default "hba")
 //   scenario     preset name or model spec object; absent = the legacy
-//                i.i.d. rate-pair path at `open`/`closed`
+//                IidBernoulli at `open`/`closed` (builder legacyRates)
 //   rate         preset scenario rate (default 0.10)
-//   open/closed  legacy rate-pair knobs (scenario absent only)
+//   open/closed  legacy rate pair, open + closed <= 1 (scenario absent only)
 //   samples      Monte Carlo samples, 1..maxSamples (default 200)
 //   seed         RNG root seed (default 1)
 //   spare_rows   redundancy rows, 0..1024 (default 0)
@@ -61,7 +61,8 @@ struct Request {
   std::string id;
   CircuitSpec circuit;
   std::shared_ptr<const IMapper> mapper;
-  /// Null = the legacy i.i.d. rate-pair path (open/closed below).
+  /// Null = the legacy IidBernoulli at open/closed below (validated at
+  /// parse; the builder's legacyRates constructs it).
   std::shared_ptr<const DefectModel> scenario;
   std::string scenarioLabel;  ///< for the response ("iid (legacy rates)" when null)
   double legacyOpen = 0.10;

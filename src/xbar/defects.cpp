@@ -65,31 +65,6 @@ void DefectMap::overlay(const DefectMap& other) {
   }
 }
 
-DefectMap DefectMap::sample(std::size_t rows, std::size_t cols, double stuckOpenRate,
-                            double stuckClosedRate, Rng& rng) {
-  DefectMap map;
-  map.resample(rows, cols, stuckOpenRate, stuckClosedRate, rng);
-  return map;
-}
-
-void DefectMap::resample(std::size_t rows, std::size_t cols, double stuckOpenRate,
-                         double stuckClosedRate, Rng& rng) {
-  MCX_REQUIRE(stuckOpenRate >= 0.0 && stuckClosedRate >= 0.0 &&
-                  stuckOpenRate + stuckClosedRate <= 1.0,
-              "DefectMap::resample: bad rates");
-  open_.reshape(rows, cols);
-  closed_.reshape(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double u = rng.uniform();
-      if (u < stuckOpenRate)
-        open_.set(r, c);
-      else if (u < stuckOpenRate + stuckClosedRate)
-        closed_.set(r, c);
-    }
-  }
-}
-
 BitMatrix crossbarMatrix(const DefectMap& defects) {
   BitMatrix cm;
   crossbarMatrixInto(defects, cm);

@@ -1,10 +1,14 @@
-// Defect model of the paper (Section IV).
+// Defect maps of the paper (Section IV).
 //
-// Each crosspoint is independently defective: stuck-at-open (permanently
+// A crosspoint is either functional or defective: stuck-at-open (permanently
 // R_OFF — usable wherever a *disabled* switch is needed, fatal where an
 // *active* one is) or stuck-at-closed (permanently R_ON — poisons its whole
 // horizontal and vertical line: the line initialization and NAND evaluation
 // both read the forced logic 0).
+//
+// DefectMap is only the data type; the DefectModels of
+// scenario/defect_model.hpp draw it (IidBernoulli is the paper's
+// independent per-crosspoint draw).
 //
 // The crossbar matrix (CM) follows Fig. 8: entry 1 = functional crosspoint
 // (matches both 1 and 0 in the FM), entry 0 = unusable (matches only 0).
@@ -14,7 +18,6 @@
 #include <vector>
 
 #include "util/bit_matrix.hpp"
-#include "util/rng.hpp"
 
 namespace mcx {
 
@@ -72,24 +75,12 @@ public:
   const BitMatrix& openBits() const { return open_; }
   const BitMatrix& closedBits() const { return closed_; }
 
-  /// Mutable word-level access for the sparse samplers' placement loop
-  /// (hoisting the per-bit bounds checks out of an O(defects) hot path).
+  /// Mutable word-level access for the samplers' placement loops (the
+  /// i.i.d. models in scenario/defect_model.hpp fill these bits directly).
   /// Callers own the invariant that a crosspoint is never both stuck-open
   /// and stuck-closed.
   BitMatrix& mutableOpenBits() { return open_; }
   BitMatrix& mutableClosedBits() { return closed_; }
-
-  /// Independent uniform per-crosspoint sampling (the paper's defect
-  /// generation: "assigning an independent defect probability/rate to each
-  /// crosspoint that shows a uniform distribution").
-  static DefectMap sample(std::size_t rows, std::size_t cols, double stuckOpenRate,
-                          double stuckClosedRate, Rng& rng);
-
-  /// In-place variant of sample(): identical draw sequence, but reuses the
-  /// existing bit buffers (per-thread scratch arenas in the Monte Carlo
-  /// engine avoid a pair of allocations per sample).
-  void resample(std::size_t rows, std::size_t cols, double stuckOpenRate,
-                double stuckClosedRate, Rng& rng);
 
   /// Resize to rows x cols with every crosspoint functional, reusing the
   /// existing allocations (scratch-arena entry point for DefectModels).

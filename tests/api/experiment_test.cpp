@@ -33,13 +33,13 @@ TEST(ExperimentBuilder, UnknownNamesThrowEagerly) {
 }
 
 TEST(ExperimentBuilder, LegacyPathBitIdenticalToHandBuiltConfig) {
-  // The builder is a declaration layer over runDefectExperiment: the legacy
-  // rate-pair path must reproduce a hand-built config draw for draw.
+  // The builder is a declaration layer over runDefectExperiment: the
+  // legacyRates declaration must reproduce a hand-built IidBernoulli config
+  // draw for draw.
   const FunctionMatrix fm = buildFunctionMatrix(testCover());
   DefectExperimentConfig cfg;
   cfg.samples = 60;
-  cfg.stuckOpenRate = 0.12;
-  cfg.stuckClosedRate = 0.01;
+  cfg.model = std::make_shared<IidBernoulli>(0.12, 0.01);
   cfg.seed = 0x7ab1e2;
   cfg.keepMappings = true;
   const DefectExperimentResult direct = runDefectExperiment(fm, HybridMapper(), cfg);
@@ -58,6 +58,28 @@ TEST(ExperimentBuilder, LegacyPathBitIdenticalToHandBuiltConfig) {
   ASSERT_EQ(viaBuilder.outcome.mappings.size(), direct.mappings.size());
   for (std::size_t s = 0; s < direct.mappings.size(); ++s)
     EXPECT_EQ(viaBuilder.outcome.mappings[s].rowAssignment, direct.mappings[s].rowAssignment)
+        << "sample=" << s;
+}
+
+TEST(ExperimentBuilder, LegacyRatesAreValidatedAtDeclaration) {
+  EXPECT_THROW(ExperimentBuilder().legacyRates(0.7, 0.5), InvalidArgument);
+  EXPECT_THROW(ExperimentBuilder().legacyRates(-0.1), InvalidArgument);
+}
+
+TEST(ExperimentBuilder, UndeclaredScenarioIsLegacyRatesAtTenPercent) {
+  ExperimentBuilder base;
+  base.circuit("test", testCover()).mapper("hba").samples(40).seed(21).keepMappings(true);
+  const ExperimentResult implicit = ExperimentBuilder(base).run();
+  const ExperimentResult declared = ExperimentBuilder(base).legacyRates(0.10).run();
+  EXPECT_EQ(implicit.scenario, "iid (legacy rates)");
+  EXPECT_EQ(declared.scenario, "iid (legacy rates)");
+  EXPECT_EQ(parseSpec(implicit.toJson()).stringOr("scenario", ""), "iid (legacy rates)");
+  EXPECT_EQ(implicit.outcome.successes, declared.outcome.successes);
+  EXPECT_EQ(implicit.outcome.totalBacktracks, declared.outcome.totalBacktracks);
+  ASSERT_EQ(implicit.outcome.mappings.size(), declared.outcome.mappings.size());
+  for (std::size_t s = 0; s < declared.outcome.mappings.size(); ++s)
+    EXPECT_EQ(implicit.outcome.mappings[s].rowAssignment,
+              declared.outcome.mappings[s].rowAssignment)
         << "sample=" << s;
 }
 

@@ -15,7 +15,8 @@
 #include "circuit/cache.hpp"
 #include "logic/truth_table.hpp"
 #include "map/registry.hpp"
-#include "mc/defect_experiment.hpp"
+#include "mc/executor.hpp"
+#include "scenario/defect_model.hpp"
 #include "util/faultinject.hpp"
 
 namespace mcx {
@@ -153,10 +154,7 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndMunkresGroundTruth) {
   ASSERT_EQ(cover.size(), fm.numProductRows());
 
   const ApproxMapper mapper;
-  DefectExperimentConfig config;
-  config.samples = 40;
-  config.seed = 0xf00d;
-  config.stuckOpenRate = 0.25;
+  const IidBernoulli defects(0.25);
 
   std::vector<std::size_t> outputRows;
   for (std::size_t o = 0; o < fm.numOutputRows(); ++o)
@@ -166,13 +164,14 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndMunkresGroundTruth) {
   std::vector<std::size_t> allCmRows;
   std::size_t partials = 0;
 
-  forEachDefectSample(fm, config, [&](std::size_t, const DefectMap&, const BitMatrix& cm) {
+  for (Rng rng : splitSampleStreams(0xf00d, 40)) {
+    const BitMatrix cm = crossbarMatrix(defects.sample(fm.rows(), fm.cols(), rng));
     const MappingResult result = mapper.map(fm, cm);
     if (result.success) {
       EXPECT_TRUE(verifyMapping(fm, cm, result));
-      return;
+      continue;
     }
-    if (result.droppedRows.empty()) return;  // total failure (binary)
+    if (result.droppedRows.empty()) continue;  // total failure (binary)
     ++partials;
     EXPECT_TRUE(verifyPartialMapping(fm, cm, result));
     EXPECT_LE(result.realizedError, mapper.options().epsilon);
@@ -213,7 +212,7 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndMunkresGroundTruth) {
     // ...and the full row set must not.
     EXPECT_GT(munkresSolve(buildMatchingMatrix(fm.bits(), allFmRows, cm, allCmRows)).cost, 0)
         << "a rescue happened on a sample the exact mapper could have mapped";
-  });
+  }
   EXPECT_GT(partials, 0u) << "the rate/seed must actually exercise the rescue path";
 }
 

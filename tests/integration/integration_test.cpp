@@ -12,6 +12,7 @@
 #include "map/hybrid_mapper.hpp"
 #include "mc/defect_experiment.hpp"
 #include "netlist/nand_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "sim/crossbar_sim.hpp"
 #include "xbar/layout.hpp"
 #include "xbar/multilevel_layout.hpp"
@@ -31,7 +32,7 @@ TEST(Integration, Rd53FullTwoLevelPipeline) {
   for (int rep = 0; rep < 30 && mapped < 5; ++rep) {
     Rng sample = rng.split();
     const DefectMap defects =
-        DefectMap::sample(layout.fm.rows(), layout.fm.cols(), 0.05, 0.0, sample);
+        IidBernoulli(0.05).sample(layout.fm.rows(), layout.fm.cols(), sample);
     const MappingResult r = HybridMapper().map(layout.fm, crossbarMatrix(defects));
     if (!r.success) continue;
     ++mapped;
@@ -97,7 +98,7 @@ TEST(Integration, Table2StyleExperimentOnMisex1StandIn) {
 
   DefectExperimentConfig cfg;
   cfg.samples = 40;
-  cfg.stuckOpenRate = 0.10;
+  cfg.model = std::make_shared<IidBernoulli>(0.10);
   const auto hba = runDefectExperiment(fm, HybridMapper(), cfg);
   const auto ea = runDefectExperiment(fm, ExactMapper(), cfg);
   // The paper reports 100% for misex1 at 10%; allow sampling slack.

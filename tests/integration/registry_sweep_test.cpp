@@ -6,6 +6,7 @@
 #include "benchdata/registry.hpp"
 #include "map/fast_exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "xbar/defects.hpp"
 #include "xbar/function_matrix.hpp"
 
@@ -52,7 +53,7 @@ TEST_P(RegistrySweep, DefectiveMappingVerifies) {
   std::size_t attempts = 0, successes = 0;
   for (int rep = 0; rep < 5; ++rep) {
     Rng sample = rng.split();
-    const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.05, 0.0, sample);
+    const DefectMap defects = IidBernoulli(0.05).sample(fm.rows(), fm.cols(), sample);
     const BitMatrix cm = crossbarMatrix(defects);
     ++attempts;
     const MappingResult h = hba.map(fm, cm);

@@ -4,6 +4,7 @@
 
 #include "logic/generators.hpp"
 #include "logic/sop_parser.hpp"
+#include "scenario/defect_model.hpp"
 #include "util/error.hpp"
 #include "xbar/defects.hpp"
 
@@ -78,7 +79,7 @@ TEST(ExactMapper, ResultsVerifyOnRandomDefects) {
   const FunctionMatrix fm = buildFunctionMatrix(cover);
   for (int rep = 0; rep < 60; ++rep) {
     Rng sample = rng.split();
-    const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.1, 0.0, sample);
+    const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), sample);
     const BitMatrix cm = crossbarMatrix(defects);
     const MappingResult r = ExactMapper().map(fm, cm);
     if (r.success) {
@@ -101,7 +102,7 @@ TEST(ExactMapper, MunkresBaselineAgreesWithFastPath) {
   munkres.useMunkres = true;
   for (int rep = 0; rep < 60; ++rep) {
     Rng sample = rng.split();
-    const DefectMap defects = DefectMap::sample(fm.rows(), fm.cols(), 0.15, 0.0, sample);
+    const DefectMap defects = IidBernoulli(0.15).sample(fm.rows(), fm.cols(), sample);
     const BitMatrix cm = crossbarMatrix(defects);
     const MappingResult fast = ExactMapper().map(fm, cm);
     const MappingResult exact = ExactMapper(munkres).map(fm, cm);

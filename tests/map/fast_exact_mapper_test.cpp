@@ -5,6 +5,7 @@
 #include "logic/generators.hpp"
 #include "logic/sop_parser.hpp"
 #include "map/exact_mapper.hpp"
+#include "scenario/defect_model.hpp"
 #include "util/error.hpp"
 #include "xbar/defects.hpp"
 
@@ -44,8 +45,8 @@ TEST(FastExactMapper, AgreesWithMunkresExactMapperEverywhere) {
     const Cover cover = randomSop(opts, rng);
     const FunctionMatrix fm = buildFunctionMatrix(cover);
     Rng sample = rng.split();
-    const DefectMap defects = DefectMap::sample(
-        fm.rows(), fm.cols(), 0.05 + 0.2 * sample.uniform(), 0.0, sample);
+    const DefectMap defects =
+        IidBernoulli(0.05 + 0.2 * sample.uniform()).sample(fm.rows(), fm.cols(), sample);
     const BitMatrix cm = crossbarMatrix(defects);
     const MappingResult a = ea.map(fm, cm);
     const MappingResult b = fast.map(fm, cm);

@@ -11,7 +11,8 @@
 
 #include "circuit/cache.hpp"
 #include "map/registry.hpp"
-#include "mc/defect_experiment.hpp"
+#include "mc/executor.hpp"
+#include "scenario/defect_model.hpp"
 #include "scenario/spec.hpp"
 
 #ifndef MCX_REPO_ROOT
@@ -75,10 +76,7 @@ TEST(OptimalityRegressionTest, RerunReproducesCommittedRd53Cell) {
   ASSERT_EQ(mappers->array.size(), 3u);
 
   const std::shared_ptr<const Circuit> circuit = compileCircuit("rd53");
-  DefectExperimentConfig config;
-  config.samples = samples;
-  config.seed = seed;
-  config.stuckOpenRate = 0.05;
+  const IidBernoulli defects(0.05);
 
   const auto fastEa = makeMapper("fast-ea");
   const auto munkres = makeMapper("ea-munkres");
@@ -89,17 +87,20 @@ TEST(OptimalityRegressionTest, RerunReproducesCommittedRd53Cell) {
   std::size_t munkresMismatches = 0;
   std::vector<std::size_t> heurOk(heuristics.size(), 0);
   std::vector<std::size_t> contradictions(heuristics.size(), 0);
-  forEachDefectSample(circuit->fm, config,
-                      [&](std::size_t, const DefectMap&, const BitMatrix& cm) {
-                        const bool exact = fastEa->map(circuit->fm, cm).success;
-                        if (munkres->map(circuit->fm, cm).success != exact) ++munkresMismatches;
-                        if (exact) ++exactOk;
-                        for (std::size_t h = 0; h < heuristics.size(); ++h) {
-                          const bool ok = heuristics[h]->map(circuit->fm, cm).success;
-                          if (ok) ++heurOk[h];
-                          if (ok && !exact) ++contradictions[h];
-                        }
-                      });
+  // Sample s is drawn from splitSampleStreams(seed, samples)[s], the stream
+  // the bench's engine runs use for it.
+  for (Rng rng : splitSampleStreams(seed, samples)) {
+    const BitMatrix cm =
+        crossbarMatrix(defects.sample(circuit->fm.rows(), circuit->fm.cols(), rng));
+    const bool exact = fastEa->map(circuit->fm, cm).success;
+    if (munkres->map(circuit->fm, cm).success != exact) ++munkresMismatches;
+    if (exact) ++exactOk;
+    for (std::size_t h = 0; h < heuristics.size(); ++h) {
+      const bool ok = heuristics[h]->map(circuit->fm, cm).success;
+      if (ok) ++heurOk[h];
+      if (ok && !exact) ++contradictions[h];
+    }
+  }
 
   EXPECT_EQ(exactOk, static_cast<std::size_t>(committed->numberOr("exact_successes", -1)));
   EXPECT_EQ(munkresMismatches, 0u);

@@ -9,8 +9,10 @@
 #include "logic/sop_parser.hpp"
 #include "map/exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
+#include "mc/executor.hpp"
 #include "scenario/defect_model.hpp"
 #include "scenario/registry.hpp"
+#include "util/error.hpp"
 
 namespace mcx {
 namespace {
@@ -27,7 +29,7 @@ constexpr std::size_t kPinnedSparseMixedSuccesses = 3;
 TEST(DefectExperiment, ZeroRateGivesFullSuccess) {
   DefectExperimentConfig cfg;
   cfg.samples = 20;
-  cfg.stuckOpenRate = 0.0;
+  cfg.model = std::make_shared<IidBernoulli>(0.0);
   const DefectExperimentResult r = runDefectExperiment(testFm(), HybridMapper(), cfg);
   EXPECT_EQ(r.successes, 20u);
   EXPECT_DOUBLE_EQ(r.successRate(), 1.0);
@@ -36,7 +38,7 @@ TEST(DefectExperiment, ZeroRateGivesFullSuccess) {
 TEST(DefectExperiment, SaturatedRateGivesZeroSuccess) {
   DefectExperimentConfig cfg;
   cfg.samples = 10;
-  cfg.stuckOpenRate = 1.0;
+  cfg.model = std::make_shared<IidBernoulli>(1.0);
   const DefectExperimentResult r = runDefectExperiment(testFm(), HybridMapper(), cfg);
   EXPECT_EQ(r.successes, 0u);
 }
@@ -44,7 +46,7 @@ TEST(DefectExperiment, SaturatedRateGivesZeroSuccess) {
 TEST(DefectExperiment, DeterministicForFixedSeed) {
   DefectExperimentConfig cfg;
   cfg.samples = 50;
-  cfg.stuckOpenRate = 0.15;
+  cfg.model = std::make_shared<IidBernoulli>(0.15);
   cfg.seed = 77;
   const auto a = runDefectExperiment(testFm(), HybridMapper(), cfg);
   const auto b = runDefectExperiment(testFm(), HybridMapper(), cfg);
@@ -55,7 +57,7 @@ TEST(DefectExperiment, DeterministicForFixedSeed) {
 TEST(DefectExperiment, ExactAtLeastAsSuccessful) {
   DefectExperimentConfig cfg;
   cfg.samples = 60;
-  cfg.stuckOpenRate = 0.12;
+  cfg.model = std::make_shared<IidBernoulli>(0.12);
   const auto hba = runDefectExperiment(testFm(), HybridMapper(), cfg);
   const auto ea = runDefectExperiment(testFm(), ExactMapper(), cfg);
   EXPECT_GE(ea.successes, hba.successes);
@@ -64,7 +66,7 @@ TEST(DefectExperiment, ExactAtLeastAsSuccessful) {
 TEST(DefectExperiment, SpareRowsImproveSuccess) {
   DefectExperimentConfig base;
   base.samples = 60;
-  base.stuckOpenRate = 0.25;
+  base.model = std::make_shared<IidBernoulli>(0.25);
   DefectExperimentConfig spare = base;
   spare.spareRows = 3;
   const auto without = runDefectExperiment(testFm(), HybridMapper(), base);
@@ -75,6 +77,7 @@ TEST(DefectExperiment, SpareRowsImproveSuccess) {
 TEST(DefectExperiment, TimingIsPopulatedWhenOptedIn) {
   DefectExperimentConfig cfg;
   cfg.samples = 5;
+  cfg.model = std::make_shared<IidBernoulli>(0.10);
   cfg.timePerSample = true;
   const auto r = runDefectExperiment(testFm(), HybridMapper(), cfg);
   EXPECT_EQ(r.perSampleMillis.count, 5u);
@@ -87,6 +90,7 @@ TEST(DefectExperiment, PerSampleTimingIsOffByDefault) {
   // aggregate wall time of the run is still reported.
   DefectExperimentConfig cfg;
   cfg.samples = 5;
+  cfg.model = std::make_shared<IidBernoulli>(0.10);
   const auto r = runDefectExperiment(testFm(), HybridMapper(), cfg);
   EXPECT_EQ(r.perSampleMillis.count, 0u);
   EXPECT_GT(r.totalSeconds, 0.0);
@@ -96,7 +100,7 @@ TEST(DefectExperiment, PerSampleTimingIsOffByDefault) {
 TEST(DefectExperiment, TimingKnobDoesNotChangeOutcomes) {
   DefectExperimentConfig cfg;
   cfg.samples = 40;
-  cfg.stuckOpenRate = 0.15;
+  cfg.model = std::make_shared<IidBernoulli>(0.15);
   cfg.seed = 123;
   cfg.keepMappings = true;
   DefectExperimentConfig timed = cfg;
@@ -110,19 +114,18 @@ TEST(DefectExperiment, TimingKnobDoesNotChangeOutcomes) {
 }
 
 TEST(DefectExperiment, ResultsAreIdenticalAtAnyThreadCount) {
-  // Covers the legacy rate-pair path and both sparse samplers (stuck-open
-  // only, and mixed with stuck-closed poisoning): the determinism contract
-  // binds every sampler the engine can run.
+  // Covers the legacy IidBernoulli stream and both sparse samplers
+  // (stuck-open only, and mixed with stuck-closed poisoning): the
+  // determinism contract binds every sampler the engine can run.
   const std::vector<std::shared_ptr<const DefectModel>> models = {
-      nullptr,  // legacy rate pair
+      std::make_shared<IidBernoulli>(0.12, 0.0),
       std::make_shared<SparseIidBernoulli>(0.12, 0.0),
       std::make_shared<SparseIidBernoulli>(0.10, 0.02),
   };
   for (const auto& model : models) {
-    SCOPED_TRACE(model ? model->describe() : "legacy rate pair");
+    SCOPED_TRACE(model->describe());
     DefectExperimentConfig base;
     base.samples = 64;
-    base.stuckOpenRate = 0.12;
     base.model = model;
     base.seed = 0xfeed;
     base.keepMappings = true;
@@ -175,31 +178,44 @@ TEST(DefectExperiment, ResultsAreIdenticalAtAnyThreadCountForNonIidModels) {
   }
 }
 
-TEST(DefectExperiment, MatchesForEachDefectSampleStreams) {
-  // The engine and the callback variant must see the same defect draws —
-  // and the engine's context path (incremental adjacency) must reproduce
-  // the plain mapper.map() exactly. Checked for the legacy sampler and the
-  // sparse one.
-  for (const bool sparse : {false, true}) {
-    SCOPED_TRACE(sparse ? "sparse" : "legacy");
+TEST(DefectExperiment, MatchesRederivedSampleStreams) {
+  // Sample s of a run is drawn from splitSampleStreams(seed, n)[s]: a
+  // caller re-deriving it through DefectModel::sample sees the engine's
+  // crossbar, and the engine's context path (incremental adjacency) must
+  // reproduce the plain mapper.map() on it exactly. Checked for the legacy
+  // sampler and the sparse one.
+  const std::vector<std::shared_ptr<const DefectModel>> models = {
+      std::make_shared<IidBernoulli>(0.15),
+      std::make_shared<SparseIidBernoulli>(0.15, 0.01),
+  };
+  for (const auto& model : models) {
+    SCOPED_TRACE(model->describe());
     DefectExperimentConfig cfg;
     cfg.samples = 16;
-    cfg.stuckOpenRate = 0.15;
-    if (sparse) cfg.model = std::make_shared<SparseIidBernoulli>(0.15, 0.01);
+    cfg.model = model;
     cfg.seed = 99;
     cfg.keepMappings = true;
     cfg.threads = 4;
     const auto result = runDefectExperiment(testFm(), HybridMapper(), cfg);
+    ASSERT_EQ(result.mappings.size(), cfg.samples);
 
     const HybridMapper mapper;
     const FunctionMatrix fm = testFm();
-    forEachDefectSample(fm, cfg, [&](std::size_t s, const DefectMap&, const BitMatrix& cm) {
+    const std::vector<Rng> streams = splitSampleStreams(cfg.seed, cfg.samples);
+    for (std::size_t s = 0; s < cfg.samples; ++s) {
+      Rng rng = streams[s];
+      const BitMatrix cm = crossbarMatrix(model->sample(fm.rows(), fm.cols(), rng));
       const MappingResult direct = mapper.map(fm, cm);
-      ASSERT_LT(s, result.mappings.size());
       EXPECT_EQ(direct.success, result.mappings[s].success) << "sample=" << s;
       EXPECT_EQ(direct.rowAssignment, result.mappings[s].rowAssignment) << "sample=" << s;
-    });
+    }
   }
+}
+
+TEST(DefectExperiment, NullModelIsRejected) {
+  DefectExperimentConfig cfg;
+  cfg.samples = 4;
+  EXPECT_THROW(runDefectExperiment(testFm(), HybridMapper(), cfg), InvalidArgument);
 }
 
 TEST(DefectExperiment, SparseSamplerPinnedSuccessCounts) {
@@ -260,22 +276,6 @@ TEST(DefectExperiment, TokenFiringAfterTheLastSampleDoesNotLabelTheRunAborted) {
   EXPECT_EQ(r.completed, cfg.samples);
   EXPECT_FALSE(r.aborted);
   EXPECT_EQ(r.abortReason, "");
-}
-
-TEST(ForEachDefectSample, DeliversRequestedSamples) {
-  DefectExperimentConfig cfg;
-  cfg.samples = 7;
-  cfg.stuckOpenRate = 0.1;
-  std::size_t calls = 0;
-  const FunctionMatrix fm = testFm();
-  forEachDefectSample(fm, cfg, [&](std::size_t idx, const DefectMap& d, const BitMatrix& cm) {
-    EXPECT_EQ(idx, calls);
-    EXPECT_EQ(d.rows(), fm.rows());
-    EXPECT_EQ(cm.rows(), fm.rows());
-    EXPECT_EQ(cm.cols(), fm.cols());
-    ++calls;
-  });
-  EXPECT_EQ(calls, 7u);
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(YieldModel, TracksMonteCarloWithDocumentedOptimism) {
   for (const double q : {0.05, 0.10, 0.15}) {
     DefectExperimentConfig cfg;
     cfg.samples = 400;
-    cfg.stuckOpenRate = q;
+    cfg.model = std::make_shared<IidBernoulli>(q);
     const double mc = runDefectExperiment(fm, HybridMapper(), cfg).successRate();
     const double model = estimateYield(fm, q).successProbability;
     EXPECT_GE(model, mc - 0.05) << "q=" << q;  // optimistic bias direction
@@ -69,7 +69,7 @@ TEST(YieldModel, TightAtTheExtremes) {
   for (const double q : {0.005, 0.6}) {
     DefectExperimentConfig cfg;
     cfg.samples = 300;
-    cfg.stuckOpenRate = q;
+    cfg.model = std::make_shared<IidBernoulli>(q);
     const double mc = runDefectExperiment(fm, HybridMapper(), cfg).successRate();
     const double model = estimateYield(fm, q).successProbability;
     EXPECT_NEAR(model, mc, 0.08) << "q=" << q;

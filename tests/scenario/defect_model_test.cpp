@@ -4,18 +4,10 @@
 
 #include <bit>
 
-#include "logic/sop_parser.hpp"
-#include "map/hybrid_mapper.hpp"
-#include "mc/defect_experiment.hpp"
 #include "util/error.hpp"
-#include "xbar/function_matrix.hpp"
 
 namespace mcx {
 namespace {
-
-FunctionMatrix testFm() {
-  return buildFunctionMatrix(parseSop("x1 x2 + !x2 x3 + x1 !x3 + x2 x3"));
-}
 
 bool sameMap(const DefectMap& a, const DefectMap& b) {
   return a.openBits() == b.openBits() && a.closedBits() == b.closedBits();
@@ -23,42 +15,48 @@ bool sameMap(const DefectMap& a, const DefectMap& b) {
 
 // --- IidBernoulli: the regression anchor of the whole rewiring -----------
 
+/// The legacy i.i.d. stream, restated outside the library so the anchor
+/// does not check the library against itself: one uniform per crosspoint,
+/// row-major, stuck-open below the open rate, stuck-closed below the summed
+/// rates (the per-crosspoint loop every committed legacy count was drawn
+/// with).
+DefectMap referenceResample(std::size_t rows, std::size_t cols, double open, double closed,
+                            Rng& rng) {
+  DefectMap map(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double u = rng.uniform();
+      if (u < open)
+        map.setType(r, c, DefectType::StuckOpen);
+      else if (u < open + closed)
+        map.setType(r, c, DefectType::StuckClosed);
+    }
+  }
+  return map;
+}
+
 TEST(IidBernoulli, DrawForDrawIdenticalToLegacyResample) {
   const IidBernoulli model(0.12, 0.03);
   for (const std::uint64_t seed : {1ull, 42ull, 0xfeedull}) {
     Rng a(seed), b(seed);
     const DefectMap viaModel = model.sample(37, 53, a);
-    const DefectMap viaLegacy = DefectMap::sample(37, 53, 0.12, 0.03, b);
-    EXPECT_TRUE(sameMap(viaModel, viaLegacy)) << "seed=" << seed;
+    const DefectMap viaLegacy = referenceResample(37, 53, 0.12, 0.03, b);
+    EXPECT_EQ(viaModel.openBits(), viaLegacy.openBits()) << "seed=" << seed;
+    EXPECT_EQ(viaModel.closedBits(), viaLegacy.closedBits()) << "seed=" << seed;
     // Identical draw *counts* too: the streams must stay in lockstep.
     EXPECT_EQ(a(), b()) << "seed=" << seed;
   }
 }
 
-TEST(IidBernoulli, EngineResultsBitIdenticalToLegacyRatePath) {
-  // DefectExperimentConfig without a model must behave exactly like one
-  // with the equivalent IidBernoulli: same seeds => same success counts and
-  // row assignments (the BENCH_defect_mc.json regression guarantee).
-  const FunctionMatrix fm = testFm();
-  DefectExperimentConfig legacy;
-  legacy.samples = 80;
-  legacy.stuckOpenRate = 0.12;
-  legacy.stuckClosedRate = 0.01;
-  legacy.seed = 0x7ab1e2;
-  legacy.keepMappings = true;
-
-  DefectExperimentConfig scenario = legacy;
-  scenario.model = std::make_shared<IidBernoulli>(0.12, 0.01);
-
-  const auto a = runDefectExperiment(fm, HybridMapper(), legacy);
-  const auto b = runDefectExperiment(fm, HybridMapper(), scenario);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.totalBacktracks, b.totalBacktracks);
-  ASSERT_EQ(a.mappings.size(), b.mappings.size());
-  for (std::size_t s = 0; s < a.mappings.size(); ++s) {
-    EXPECT_EQ(a.mappings[s].success, b.mappings[s].success) << "sample=" << s;
-    EXPECT_EQ(a.mappings[s].rowAssignment, b.mappings[s].rowAssignment) << "sample=" << s;
-  }
+TEST(IidBernoulli, SampleIsDeterministicAndCalibrated) {
+  const IidBernoulli model(0.1, 0.02);
+  Rng a(12), b(12);
+  const DefectMap m1 = model.sample(100, 100, a);
+  const DefectMap m2 = model.sample(100, 100, b);
+  EXPECT_EQ(m1.stuckOpenCount(), m2.stuckOpenCount());
+  EXPECT_EQ(m1.stuckClosedCount(), m2.stuckClosedCount());
+  EXPECT_NEAR(static_cast<double>(m1.stuckOpenCount()) / 10000.0, 0.1, 0.02);
+  EXPECT_NEAR(static_cast<double>(m1.stuckClosedCount()) / 10000.0, 0.02, 0.01);
 }
 
 TEST(IidBernoulli, Validation) {
@@ -162,7 +160,8 @@ TEST(SparseIidBernoulli, TracksExactlyTheDefectiveRows) {
 
 TEST(SparseIidBernoulli, TrackedAndUntrackedDrawIdentically) {
   // generate() and generateTracked() must consume the stream identically
-  // (the engine and forEachDefectSample may call either for a sample).
+  // (the engine calls generateTracked, callers re-deriving a sample call
+  // generate through DefectModel::sample).
   const SparseIidBernoulli model(0.08, 0.02);
   Rng a(13), b(13);
   DefectMap viaGenerate;

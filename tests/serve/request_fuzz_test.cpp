@@ -93,6 +93,7 @@ TEST(RequestFuzzTest, MalformedShapesTable) {
       R"({"circuit": "rd53-min", "seed": "abc"})",                //
       R"({"circuit": "rd53-min", "rate": 1.5})",                  // rate out of [0,1]
       R"({"circuit": "rd53-min", "open": -0.1})",                 //
+      R"({"circuit": "rd53-min", "open": 0.7, "closed": 0.5})",   // pair over budget
       R"({"circuit": "rd53-min", "deadline_ms": 0})",             // must be positive
       R"({"circuit": "rd53-min", "deadline_ms": -5})",            //
       R"({"circuit": "rd53-min", "multilevel": "yes"})",          // wrong type

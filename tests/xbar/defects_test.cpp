@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
-
 namespace mcx {
 namespace {
 
@@ -37,22 +35,6 @@ TEST(DefectMap, PoisoningQueriesFollowStuckClosed) {
   map.setType(0, 0, DefectType::StuckOpen);
   EXPECT_FALSE(map.rowPoisoned(0));
   EXPECT_FALSE(map.colPoisoned(0));
-}
-
-TEST(DefectMap, SampleIsDeterministicAndCalibrated) {
-  Rng a(12), b(12);
-  const DefectMap m1 = DefectMap::sample(100, 100, 0.1, 0.02, a);
-  const DefectMap m2 = DefectMap::sample(100, 100, 0.1, 0.02, b);
-  EXPECT_EQ(m1.stuckOpenCount(), m2.stuckOpenCount());
-  EXPECT_EQ(m1.stuckClosedCount(), m2.stuckClosedCount());
-  EXPECT_NEAR(static_cast<double>(m1.stuckOpenCount()) / 10000.0, 0.1, 0.02);
-  EXPECT_NEAR(static_cast<double>(m1.stuckClosedCount()) / 10000.0, 0.02, 0.01);
-}
-
-TEST(DefectMap, SampleRejectsBadRates) {
-  Rng rng(1);
-  EXPECT_THROW(DefectMap::sample(2, 2, -0.1, 0.0, rng), InvalidArgument);
-  EXPECT_THROW(DefectMap::sample(2, 2, 0.7, 0.5, rng), InvalidArgument);
 }
 
 TEST(CrossbarMatrix, CleanMapIsAllFunctional) {
