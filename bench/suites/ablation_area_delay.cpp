@@ -2,14 +2,11 @@
 // designs (the paper discusses area only; the multi-level design's
 // gate-at-a-time evaluation costs cycles — Fig. 4's CR loop).
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "api/driver.hpp"
-#include "benchdata/registry.hpp"
-#include "logic/espresso.hpp"
-#include "logic/generators.hpp"
-#include "logic/isop.hpp"
-#include "logic/sop_parser.hpp"
+#include "circuit/cache.hpp"
 #include "netlist/nand_mapper.hpp"
 #include "util/text_table.hpp"
 #include "xbar/timing_model.hpp"
@@ -24,21 +21,21 @@ int runAreaDelay(const std::vector<std::string>& args) {
   if (const auto code = bench::parseSuiteArgs(parser, args)) return *code;
 
   struct Workload {
-    std::string label;
-    Cover cover;
+    const char* label;
+    const char* preset;  ///< circuit registry name
   };
-  std::vector<Workload> workloads;
-  workloads.push_back({"fig5 example", parseSop("x1 + x2 + x3 + x4 + x5 x6 x7 x8")});
-  workloads.push_back({"rd53", espressoMinimize(isopCover(weightFunction(5)))});
-  workloads.push_back({"sqrt8", espressoMinimize(isopCover(sqrtFunction(8)))});
-  workloads.push_back({"t481 stand-in", loadBenchmarkFast("t481").cover});
-  workloads.push_back({"majority-7", espressoMinimize(isopCover(majorityFunction(7)))});
+  const Workload workloads[] = {{"fig5 example", "fig5"},
+                                {"rd53", "rd53-min"},
+                                {"sqrt8", "sqrt8-min"},
+                                {"t481 stand-in", "t481"},
+                                {"majority-7", "majority7-min"}};
 
   TextTable table({"workload", "2L area", "2L cycles", "2L AD", "ML area", "ML cycles",
                    "ML AD", "ML wins area", "ML wins AD"});
   for (const Workload& w : workloads) {
-    const AreaDelay two = twoLevelAreaDelay(w.cover);
-    const NandNetwork net = mapToNand(w.cover);
+    const std::shared_ptr<const Circuit> circuit = compileCircuit(w.preset);
+    const AreaDelay two = twoLevelAreaDelay(circuit->cover);
+    const NandNetwork net = mapToNand(circuit->cover);
     const AreaDelay multi = multiLevelAreaDelay(net);
     table.addRow({w.label, std::to_string(two.area), std::to_string(two.cycles),
                   std::to_string(two.product()), std::to_string(multi.area),

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "api/driver.hpp"
-#include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "scenario/defect_model.hpp"
 #include "sim/transient_faults.hpp"
@@ -31,8 +31,7 @@ int runTransient(const std::vector<std::string>& args) {
                "stuck-open defects; " << trials << " random evaluations per cell)\n\n";
 
   for (const char* name : {"rd53", "misex1"}) {
-    const BenchmarkCircuit bench = loadBenchmarkFast(name);
-    const TwoLevelLayout layout = buildTwoLevelLayout(bench.cover);
+    const TwoLevelLayout layout = buildTwoLevelLayout(compileCircuit(name)->cover);
 
     // Find one permanently-defective crossbar with a valid mapping.
     Rng rng(0x7a5);

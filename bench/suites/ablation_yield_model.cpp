@@ -6,11 +6,12 @@
 // instantly per circuit.
 #include <cmath>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "api/driver.hpp"
 #include "api/experiment.hpp"
-#include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
 #include "mc/yield_model.hpp"
 #include "util/text_table.hpp"
 #include "xbar/function_matrix.hpp"
@@ -32,12 +33,12 @@ int runYieldModel(const std::vector<std::string>& args) {
 
   TextTable table({"circuit", "rate", "model", "Monte Carlo", "abs err"});
   for (const char* name : {"rd53", "misex1", "sao2", "clip"}) {
-    const BenchmarkCircuit bench = loadBenchmarkFast(name);
-    const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
+    const std::shared_ptr<const Circuit> circuit = compileCircuit(name);
+    const FunctionMatrix& fm = circuit->fm;
     for (const double q : {0.05, 0.10, 0.20}) {
       const double model = estimateYield(fm, q).successProbability;
       const double mc = ExperimentBuilder()
-                            .circuit(name, fm)
+                            .circuit(name)
                             .mapper("hba")
                             .legacyRates(q)
                             .samples(samples)
@@ -52,8 +53,8 @@ int runYieldModel(const std::vector<std::string>& args) {
   std::cout << "spare rows needed for 99% estimated yield at 10% defects:\n";
   TextTable spares({"circuit", "optimum rows", "spares for 99%", "row overhead"});
   for (const char* name : {"rd53", "misex1", "sao2", "rd73", "clip", "alu4"}) {
-    const BenchmarkCircuit bench = loadBenchmarkFast(name);
-    const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
+    const std::shared_ptr<const Circuit> circuit = compileCircuit(name);
+    const FunctionMatrix& fm = circuit->fm;
     const std::size_t s = sparesForTargetYield(fm, 0.10, 0.99, 128);
     spares.addRow({name, std::to_string(fm.rows()), std::to_string(s),
                    TextTable::percent(double(s) / double(fm.rows()), 1)});

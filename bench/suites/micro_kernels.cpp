@@ -9,13 +9,13 @@
 // disarmed vs histogram-fed spans).
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/driver.hpp"
 #include "assign/hopcroft_karp.hpp"
 #include "assign/munkres.hpp"
-#include "benchdata/registry.hpp"
 #include "circuit/cache.hpp"
 #include "circuit/registry.hpp"
 #include "logic/espresso.hpp"
@@ -24,13 +24,11 @@
 #include "map/exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "netlist/factor.hpp"
-#include "netlist/nand_mapper.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/defect_model.hpp"
 #include "xbar/defects.hpp"
 #include "xbar/function_matrix.hpp"
-#include "xbar/multilevel_layout.hpp"
 
 namespace {
 
@@ -112,18 +110,18 @@ void BM_Espresso(benchmark::State& state) {
 BENCHMARK(BM_Espresso)->Arg(5)->Arg(7);
 
 void BM_Factor(benchmark::State& state) {
-  const Cover cover = loadBenchmarkFast("t481").cover;
-  const auto cubes = cover.projection(0);
-  for (auto _ : state) benchmark::DoNotOptimize(factorCover(cubes, cover.nin()));
+  const std::shared_ptr<const Circuit> t481 = compileCircuit("t481");
+  const auto cubes = t481->cover.projection(0);
+  for (auto _ : state) benchmark::DoNotOptimize(factorCover(cubes, t481->cover.nin()));
 }
 BENCHMARK(BM_Factor);
 
 // --- Monte Carlo hot-path layers on the bw multi-level workload ------------
 
 const FunctionMatrix& bwFunctionMatrix() {
-  static const MultiLevelLayout layout =
-      buildMultiLevelLayout(mapToNand(loadBenchmarkFast("bw").cover));
-  return layout.fm;
+  static const std::shared_ptr<const Circuit> bw =
+      compileCircuit(R"({"circuit":"bw","realize":"multilevel"})");
+  return bw->fm;
 }
 
 void BM_SamplerLegacy(benchmark::State& state) {
@@ -228,8 +226,8 @@ void BM_MatchingWarmStart(benchmark::State& state) {
 BENCHMARK(BM_MatchingWarmStart);
 
 void BM_MapHba(benchmark::State& state) {
-  const BenchmarkCircuit bench = loadBenchmarkFast("alu4");
-  const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
+  const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
+  const FunctionMatrix& fm = alu4->fm;
   Rng rng(5);
   const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
@@ -239,8 +237,8 @@ void BM_MapHba(benchmark::State& state) {
 BENCHMARK(BM_MapHba);
 
 void BM_MapEa(benchmark::State& state) {
-  const BenchmarkCircuit bench = loadBenchmarkFast("alu4");
-  const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
+  const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
+  const FunctionMatrix& fm = alu4->fm;
   Rng rng(5);
   const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);

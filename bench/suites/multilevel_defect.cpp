@@ -31,10 +31,9 @@ namespace {
 int runMultilevelDefect(const std::vector<std::string>& args) {
   using namespace mcx;
 
-  // Default workloads as circuit-pipeline declarations: the generated
-  // circuits espresso-polished (what this suite always synthesized by
-  // hand), the stand-ins through the registry's fast load. The committed
-  // BENCH_defect_mc.json success counts pin this path bit-identically.
+  // Default workloads as circuit-pipeline declarations: the generator
+  // functions espresso-polished, the stand-ins as built (synth=none). The
+  // committed BENCH_defect_mc.json success counts pin these covers.
   struct Workload {
     std::string label;  ///< committed JSON circuit name
     std::string spec;

@@ -11,11 +11,12 @@
 // distributed over --threads workers with pre-split per-sample RNG
 // streams, so results do not depend on the thread count.
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/driver.hpp"
-#include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
 #include "map/redundant_mapper.hpp"
 #include "mc/executor.hpp"
 #include "mc/stats.hpp"
@@ -35,7 +36,8 @@ int runYieldExplorer(const std::vector<std::string>& args) {
 
   cli::ArgParser parser("mcx_bench yield",
                         "yield vs spare-line budget under a configurable defect scenario");
-  parser.add("--circuit", &circuit, "NAME", "benchmark circuit (default misex1)");
+  parser.add("--circuit", &circuit, "NAME|SPEC",
+             "circuit preset name or JSON circuit spec (default misex1)");
   common.addSamplesTo(parser);
   common.addSeedTo(parser);
   common.addThreadsTo(parser);
@@ -50,18 +52,18 @@ int runYieldExplorer(const std::vector<std::string>& args) {
   const std::size_t threads = common.threadsOr(0);
 
   std::shared_ptr<const DefectModel> model;
-  BenchmarkCircuit bench;
+  std::shared_ptr<const Circuit> compiled;
   try {
     model = scenarioArg.empty()
                 ? std::make_shared<IidBernoulli>(rate * 10.0 / 11.0, rate / 11.0)
                 : makeScenario(scenarioArg, rate);
-    bench = loadBenchmarkFast(circuit);
+    compiled = compileCircuit(circuit);
   } catch (const std::exception& e) {  // unknown scenario/circuit, bad rate
     std::cerr << "mcx_bench yield: " << e.what() << "\n";
     return 2;
   }
-  const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
-  std::cout << "circuit: " << bench.info.name << "  (" << fm.rows() << "x" << fm.cols()
+  const FunctionMatrix& fm = compiled->fm;
+  std::cout << "circuit: " << compiled->label << "  (" << fm.rows() << "x" << fm.cols()
             << " optimum crossbar, " << samples << " Monte Carlo samples per cell)\n";
   std::cout << "scenario: " << model->describe() << "  (seed " << seed << ", "
             << resolveThreadCount(threads) << " threads)\n\n";

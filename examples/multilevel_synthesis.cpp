@@ -7,8 +7,8 @@
 // the dual (complement) optimization and the fan-in-bound tradeoff.
 #include <iostream>
 
-#include "benchdata/registry.hpp"
 #include "benchdata/synthetic.hpp"
+#include "circuit/cache.hpp"
 #include "logic/espresso.hpp"
 #include "logic/isop.hpp"
 #include "logic/generators.hpp"
@@ -31,7 +31,7 @@ int main() {
   };
 
   // Structured: the t481-like product-of-sums stand-in.
-  addRow("t481 stand-in", loadBenchmarkFast("t481").cover);
+  addRow("t481 stand-in", compileCircuit("t481")->cover);
 
   // Unstructured: a random SOP with the same shape.
   Rng rng(2718);
@@ -43,15 +43,7 @@ int main() {
   addRow("random SOP, same shape", randomSop(random, rng));
 
   // The paper's Fig. 5 example.
-  addRow("fig5 example", [] {
-    Cover c(8, 1);
-    c.add(makeCube("1-------", "1"));
-    c.add(makeCube("-1------", "1"));
-    c.add(makeCube("--1-----", "1"));
-    c.add(makeCube("---1----", "1"));
-    c.add(makeCube("----1111", "1"));
-    return c;
-  }());
+  addRow("fig5 example", compileCircuit("fig5")->cover);
 
   // Parity: the classic two-level worst case.
   addRow("parity-8", espressoMinimize(isopCover(parityFunction(8))));

@@ -61,8 +61,6 @@ ExperimentBuilder& ExperimentBuilder::circuit(const std::string& nameOrSpec) {
 
 ExperimentBuilder& ExperimentBuilder::circuit(const CircuitSpec& spec) {
   spec_ = spec;
-  circuitLabel_ = spec.displayLabel();
-  fm_.reset();
   return *this;
 }
 
@@ -72,13 +70,6 @@ ExperimentBuilder& ExperimentBuilder::circuit(const std::string& label, const Co
   spec.cover = cover;
   spec.label = label;
   return circuit(spec);
-}
-
-ExperimentBuilder& ExperimentBuilder::circuit(const std::string& label, FunctionMatrix fm) {
-  circuitLabel_ = label;
-  spec_.reset();
-  fm_ = std::move(fm);
-  return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::multiLevel(bool on) {
@@ -180,35 +171,29 @@ ExperimentBuilder& ExperimentBuilder::pool(ExecutorPool* pool) {
 }
 
 ExperimentResult ExperimentBuilder::run() const {
-  MCX_REQUIRE(spec_.has_value() || fm_.has_value(),
-              "ExperimentBuilder: no circuit declared");
+  MCX_REQUIRE(spec_.has_value(), "ExperimentBuilder: no circuit declared");
   MCX_REQUIRE(mapper_ != nullptr, "ExperimentBuilder: no mapper declared");
 
   ExperimentResult result;
-  result.circuit = circuitLabel_;
+  result.circuit = spec_->displayLabel();
 
-  FunctionMatrix fm;
-  if (fm_.has_value()) {
-    fm = *fm_;
-  } else {
-    Stopwatch synthWatch;
-    obs::Span synthSpan("synthesis");
-    CircuitSpec spec = *spec_;
-    if (multiLevel_.has_value())
-      spec.realize = *multiLevel_ ? CircuitSpec::Realize::MultiLevel
-                                  : CircuitSpec::Realize::TwoLevel;
-    // Inline covers bypass the process-global cache: a long-running sweep
-    // over distinct covers would otherwise accumulate one immortal entry
-    // (cover + FM + layout) per cover, and pay a serialization per run()
-    // just to key it. Named declarations (registry/file/gen/...) are a
-    // bounded set and stay memoized.
-    const bool memoize = cache_ && spec.source != CircuitSpec::Source::Cover;
-    const std::shared_ptr<const Circuit> compiled = compileCircuit(spec, memoize);
-    fm = compiled->fm;
-    result.circuitSpec = spec.canonical();
-    synthSpan.finish();
-    result.synthesisMillis = synthWatch.millis();
-  }
+  Stopwatch synthWatch;
+  obs::Span synthSpan("synthesis");
+  CircuitSpec spec = *spec_;
+  if (multiLevel_.has_value())
+    spec.realize = *multiLevel_ ? CircuitSpec::Realize::MultiLevel
+                                : CircuitSpec::Realize::TwoLevel;
+  // Inline covers bypass the process-global cache: a long-running sweep
+  // over distinct covers would otherwise accumulate one immortal entry
+  // (cover + FM + layout) per cover, and pay a serialization per run()
+  // just to key it. Named declarations (registry/file/gen/...) are a
+  // bounded set and stay memoized.
+  const bool memoize = cache_ && spec.source != CircuitSpec::Source::Cover;
+  const std::shared_ptr<const Circuit> compiled = compileCircuit(spec, memoize);
+  const FunctionMatrix& fm = compiled->fm;
+  result.circuitSpec = spec.canonical();
+  synthSpan.finish();
+  result.synthesisMillis = synthWatch.millis();
 
   result.mapper = mapper_->name();
   result.scenario = scenarioLabel_;

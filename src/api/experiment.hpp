@@ -41,7 +41,6 @@
 #include "mc/defect_experiment.hpp"
 #include "scenario/defect_model.hpp"
 #include "util/json_writer.hpp"
-#include "xbar/function_matrix.hpp"
 
 namespace mcx {
 
@@ -49,7 +48,7 @@ namespace mcx {
 /// it (labels, dimensions, resolved config) plus the Monte Carlo outcome.
 struct ExperimentResult {
   std::string circuit;
-  std::string circuitSpec;    ///< canonical pipeline declaration ("" for raw FMs)
+  std::string circuitSpec;    ///< canonical pipeline declaration
   std::string mapper;
   std::string scenario;       ///< model description, or "iid (legacy rates)"
   std::size_t rows = 0;
@@ -86,18 +85,15 @@ public:
   // --- circuit ------------------------------------------------------------
   /// Circuit registry preset ("rd53"), prefixed source ("file:adder.pla",
   /// "gen:weight5", ...) or JSON pipeline spec — see circuit/registry.hpp.
-  /// Registry names keep their historical meaning (the fast benchmark load).
+  /// A bare paper-circuit name compiles its source cover with synth=none.
   ExperimentBuilder& circuit(const std::string& nameOrSpec);
   /// Explicit pipeline declaration.
   ExperimentBuilder& circuit(const CircuitSpec& spec);
   /// Explicit cover under a custom label (compiled as a Cover-source spec:
   /// two-level, or multi-level when multiLevel() is set).
   ExperimentBuilder& circuit(const std::string& label, const Cover& cover);
-  /// Pre-built function matrix under a custom label (bypasses the pipeline).
-  ExperimentBuilder& circuit(const std::string& label, FunctionMatrix fm);
   /// Realize the declared circuit as a multi-level (factored NAND) crossbar
   /// instead of the two-level one; overrides the spec's realize knob.
-  /// Ignored for pre-built function matrices.
   ExperimentBuilder& multiLevel(bool on = true);
   /// Compile through the memoized synthesis front-end (default) or run the
   /// raw pipeline every time (benchmarking bypass). Inline covers
@@ -154,9 +150,7 @@ public:
   ExperimentResult run() const;
 
 private:
-  std::string circuitLabel_;
   std::optional<CircuitSpec> spec_;
-  std::optional<FunctionMatrix> fm_;
   std::optional<bool> multiLevel_;
   bool cache_ = true;
   std::shared_ptr<const IMapper> mapper_;

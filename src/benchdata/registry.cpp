@@ -1,11 +1,6 @@
 #include "benchdata/registry.hpp"
 
-#include <map>
-
 #include "benchdata/synthetic.hpp"
-#include "logic/espresso.hpp"
-#include "logic/generators.hpp"
-#include "logic/isop.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
@@ -34,85 +29,87 @@ std::vector<Recipe> makeRecipes() {
   };
 
   using Src = BenchmarkSource;
+  // Each row is a BenchmarkInfo in field order; its last field is the
+  // generator id, set on the generated rows only.
   // ---- Table II circuits (paper order) ----------------------------------
   add({"rd53", 5, 3, 31, Src::Generated,
        "weight function, generated exactly; P measured by our minimizer",
-       544, 0.33, 0.98, 0.98, false, true, true});
+       544, 0.33, 0.98, 0.98, false, true, true, "weight5"});
   add({"squar5", 5, 8, 25, Src::Synthetic, "stand-in with paper (I,O,P)",
-       858, 0.16, 1.00, 1.00, false, false, true},
+       858, 0.16, 1.00, 1.00, false, false, true, ""},
       3.3, 1.5);
   add({"bw", 5, 28, 22, Src::Synthetic,
        "stand-in; paper Table II prints O=8/area 330, Table I area 3300 implies O=28 "
        "(MCNC bw is 5-in/28-out); we use O=28",
-       3300, 0.12, 1.00, 1.00, false, true, true},
+       3300, 0.12, 1.00, 1.00, false, true, true, ""},
       4.5, 11.0);
   add({"inc", 7, 9, 30, Src::Synthetic, "stand-in with paper (I,O,P)",
-       1248, 0.17, 1.00, 1.00, false, false, true},
+       1248, 0.17, 1.00, 1.00, false, false, true, ""},
       4.0, 2.5);
   add({"misex1", 8, 7, 12, Src::Synthetic, "stand-in with paper (I,O,P)",
-       570, 0.19, 1.00, 1.00, false, true, true},
+       570, 0.19, 1.00, 1.00, false, true, true, ""},
       5.0, 2.9);
   add({"sqrt8", 8, 4, 29, Src::Generated,
        "integer sqrt, generated exactly; paper prints I=7 but its areas imply I=8; "
        "Table II uses the dual (complement), area 792",
-       792, 0.21, 1.00, 1.00, true, true, true});
+       792, 0.21, 1.00, 1.00, true, true, true, "sqrt8"});
   add({"sao2", 10, 4, 58, Src::Synthetic, "stand-in with paper (I,O,P)",
-       1736, 0.29, 0.94, 0.97, false, false, true},
+       1736, 0.29, 0.94, 0.97, false, false, true, ""},
       7.3, 1.2);
   add({"rd73", 7, 3, 127, Src::Generated,
        "weight function, generated exactly; P measured by our minimizer",
-       2600, 0.34, 0.78, 0.92, false, false, true});
+       2600, 0.34, 0.78, 0.92, false, false, true, "weight7"});
   add({"clip", 9, 5, 120, Src::Synthetic,
        "stand-in with paper (I,O,P); 40% minterm-dense products reproduce the paper's "
        "sub-100% success at the same inclusion ratio",
-       3500, 0.23, 0.76, 0.79, false, false, true},
+       3500, 0.23, 0.76, 0.79, false, false, true, ""},
       2.5, 1.3, {}, {0.40, 0.0, 0.0});
   add({"rd84", 8, 4, 255, Src::Generated,
        "weight function, generated exactly; P measured by our minimizer",
-       6216, 0.33, 0.82, 0.89, false, true, true});
+       6216, 0.33, 0.82, 0.89, false, true, true, "weight8"});
   add({"ex1010", 10, 10, 284, Src::Synthetic, "stand-in with paper (I,O,P)",
-       11760, 0.23, 1.00, 1.00, false, false, true},
+       11760, 0.23, 1.00, 1.00, false, false, true, ""},
       7.4, 2.0);
   add({"table3", 14, 14, 175, Src::Synthetic, "stand-in with paper (I,O,P)",
-       10584, 0.25, 1.00, 1.00, false, false, true},
+       10584, 0.25, 1.00, 1.00, false, false, true, ""},
       12.0, 3.0);
   add({"misex3c", 14, 14, 197, Src::Synthetic,
        "stand-in with paper (I,O,P); paper area 11856 vs formula (197+14)(56)=11816",
-       11856, 0.13, 1.00, 1.00, false, false, true},
+       11856, 0.13, 1.00, 1.00, false, false, true, ""},
       6.0, 1.7);
   add({"exp5", 8, 63, 74, Src::Synthetic,
        "stand-in with paper (I,O,P); 15% of products share ~26 of 63 outputs, the "
        "wide-row tail that drives the paper's 65% success",
-       19454, 0.10, 0.65, 0.80, false, false, true},
+       19454, 0.10, 0.65, 0.80, false, false, true, ""},
       7.5, 12.0, {}, {0.0, 0.15, 26.0});
   add({"apex4", 9, 19, 436, Src::Synthetic,
        "stand-in with paper (I,O,P); literal density 8.3/9 — pure-minterm rows would "
        "make 10%-defective optimum crossbars infeasible (both rails of a variable dead "
        "kills a row for every product), which the real apex4 avoids",
-       25480, 0.21, 1.00, 1.00, false, false, true},
+       25480, 0.21, 1.00, 1.00, false, false, true, ""},
       8.3, 3.9);
   add({"alu4", 14, 8, 575, Src::Synthetic, "stand-in with paper (I,O,P)",
-       25652, 0.19, 1.00, 1.00, false, false, true},
+       25652, 0.19, 1.00, 1.00, false, false, true, ""},
       7.0, 1.45);
 
   // ---- Table I extras ----------------------------------------------------
   add({"con1", 7, 2, 9, Src::Synthetic,
        "stand-in; P=9 derived from Table I area 198 = (9+2)(14+4)",
-       198, std::nullopt, std::nullopt, std::nullopt, false, true, false},
+       198, std::nullopt, std::nullopt, std::nullopt, false, true, false, ""},
       4.0, 1.2);
   add({"b12", 15, 9, 43, Src::Synthetic,
        "stand-in; P=43 derived from Table I area 2496 = (43+9)(30+18)",
-       2496, std::nullopt, std::nullopt, std::nullopt, false, true, false},
+       2496, std::nullopt, std::nullopt, std::nullopt, false, true, false, ""},
       8.0, 1.5);
   add({"t481", 16, 1, 256, Src::StructureSeeded,
        "product-of-sums stand-in (4x4x4x4); paper's t481 has P=481 — a random SOP "
        "would lose the published multi-level advantage, structure is preserved instead",
-       std::nullopt, std::nullopt, std::nullopt, std::nullopt, false, true, false},
+       std::nullopt, std::nullopt, std::nullopt, std::nullopt, false, true, false, ""},
       0.0, 0.0, {4, 4, 4, 4});
   add({"cordic", 23, 2, 1024, Src::StructureSeeded,
        "product-of-sums stand-in (4^5 over 20 of 23 vars, duplicated to 2 outputs); "
        "paper's cordic has P=914",
-       std::nullopt, std::nullopt, std::nullopt, std::nullopt, false, true, false},
+       std::nullopt, std::nullopt, std::nullopt, std::nullopt, false, true, false, ""},
       0.0, 0.0, {4, 4, 4, 4, 4});
   return r;
 }
@@ -128,31 +125,25 @@ const Recipe& findRecipe(const std::string& name) {
   throw InvalidArgument("unknown benchmark: " + name);
 }
 
-Cover buildGenerated(const std::string& name, bool polish) {
-  TruthTable tt;
-  if (name == "rd53") tt = weightFunction(5);
-  else if (name == "rd73") tt = weightFunction(7);
-  else if (name == "rd84") tt = weightFunction(8);
-  else if (name == "sqrt8") tt = sqrtFunction(8);
-  else throw InvalidArgument("unknown generated benchmark: " + name);
+}  // namespace
 
-  Cover cover = isopCover(tt);
-  if (polish) cover = espressoMinimize(cover);
-  if (name == "sqrt8") {
-    // The paper implements sqrt8 as its dual (Table II bold row): minimize
-    // the complement and keep it when smaller, which it is (38 vs 29 in the
-    // paper's numbers).
-    Cover comp = isopCover(tt.complemented());
-    if (polish) comp = espressoMinimize(comp);
-    if (comp.size() < cover.size()) cover = std::move(comp);
-  }
-  return cover;
+const std::vector<BenchmarkInfo>& paperBenchmarks() {
+  static const std::vector<BenchmarkInfo> infos = [] {
+    std::vector<BenchmarkInfo> v;
+    for (const Recipe& r : recipes()) v.push_back(r.info);
+    return v;
+  }();
+  return infos;
 }
 
-Cover buildCircuit(const Recipe& r, bool polish) {
+const BenchmarkInfo& findBenchmark(const std::string& name) { return findRecipe(name).info; }
+
+Cover standInCover(const std::string& name) {
+  const Recipe& r = findRecipe(name);
   switch (r.info.source) {
     case BenchmarkSource::Generated:
-      return buildGenerated(r.info.name, polish);
+      throw InvalidArgument("benchmark " + name + " is generated (\"" + r.info.generator +
+                            "\"), not a stand-in");
     case BenchmarkSource::Synthetic:
       return syntheticCover(r.info.name, r.info.inputs, r.info.outputs, r.info.products,
                             r.literalsPerProduct, r.outputsPerProduct, r.tails);
@@ -176,27 +167,6 @@ Cover buildCircuit(const Recipe& r, bool polish) {
     }
   }
   throw InvalidArgument("bad benchmark source");
-}
-
-}  // namespace
-
-const std::vector<BenchmarkInfo>& paperBenchmarks() {
-  static const std::vector<BenchmarkInfo> infos = [] {
-    std::vector<BenchmarkInfo> v;
-    for (const Recipe& r : recipes()) v.push_back(r.info);
-    return v;
-  }();
-  return infos;
-}
-
-BenchmarkCircuit loadBenchmark(const std::string& name) {
-  const Recipe& r = findRecipe(name);
-  return {r.info, buildCircuit(r, /*polish=*/true)};
-}
-
-BenchmarkCircuit loadBenchmarkFast(const std::string& name) {
-  const Recipe& r = findRecipe(name);
-  return {r.info, buildCircuit(r, /*polish=*/false)};
 }
 
 }  // namespace mcx

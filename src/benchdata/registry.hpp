@@ -1,9 +1,12 @@
-// Registry of the paper's benchmark circuits (Tables I and II).
+// The paper's benchmark circuits (Tables I and II) as data.
 //
 // Each entry records the paper's published statistics (inputs, outputs,
 // products, success rates where given) and how this library rebuilds the
-// circuit (exact generation vs. synthetic stand-in — see
-// benchdata/synthetic.hpp for the substitution policy).
+// circuit: a generator id for the exactly generated functions, a recipe
+// for the stand-ins (see benchdata/synthetic.hpp for the substitution
+// policy). Nothing here minimizes: a paper circuit is compiled, and any
+// synthesis step applied, by the circuit pipeline — compileCircuit(name)
+// in circuit/cache.hpp.
 #pragma once
 
 #include <optional>
@@ -36,24 +39,22 @@ struct BenchmarkInfo {
   bool paperUsedDual = false;                      ///< bold row in Table II
   bool inTable1 = false;
   bool inTable2 = false;
-};
-
-struct BenchmarkCircuit {
-  BenchmarkInfo info;
-  Cover cover;
+  /// Generated rows: the circuit pipeline's generator id ("weight5",
+  /// "sqrt8"); the source cover is the ISOP of its truth table, of the
+  /// complement when paperUsedDual. Empty for stand-ins.
+  std::string generator;
 };
 
 /// All registered circuits, in paper order (Table II first, Table I extras
 /// after).
 const std::vector<BenchmarkInfo>& paperBenchmarks();
 
-/// Build a circuit by name. Generated circuits run the ISOP + espresso
-/// pipeline (their P is measured, not fixed); stand-ins match the paper's P
-/// exactly by construction. Throws InvalidArgument for unknown names.
-BenchmarkCircuit loadBenchmark(const std::string& name);
+/// The entry named @p name. Throws InvalidArgument for unknown names.
+const BenchmarkInfo& findBenchmark(const std::string& name);
 
-/// Like loadBenchmark but without espresso polish on generated circuits
-/// (faster; P may be slightly larger).
-BenchmarkCircuit loadBenchmarkFast(const std::string& name);
+/// A stand-in's source cover, built from its recipe to the paper's (I, O,
+/// P) exactly. Throws InvalidArgument for unknown names and for Generated
+/// rows, whose cover the pipeline derives from BenchmarkInfo::generator.
+Cover standInCover(const std::string& name);
 
 }  // namespace mcx

@@ -65,23 +65,20 @@ SynthesizedCover buildSynthesizedCover(const CircuitSpec& spec) {
   Stopwatch watch;
   Cover on;
   Cover dc;
-  bool synthesized = false;  // Registry sources fold synth into the load.
   switch (spec.source) {
     case CircuitSpec::Source::Registry: {
-      // The registry circuits ship their own synthesis recipe (generated
-      // circuits run ISOP + optional espresso polish with the paper's dual
-      // selection; stand-ins are built to the paper's P by construction):
-      // synth=none is the fast load, synth=espresso the polished one, and
-      // anything else would silently mean something different than it says.
-      if (spec.synth == CircuitSpec::Synth::None) {
-        on = loadBenchmarkFast(spec.name).cover;
-      } else if (spec.synth == CircuitSpec::Synth::Espresso) {
-        on = loadBenchmark(spec.name).cover;
+      // A paper circuit's source cover: generated rows are the ISOP of their
+      // generator's truth table (the complement's for the paper's dual
+      // rows, the Table II bold entries); stand-ins come built to the
+      // paper's (I, O, P). The synthesis step below applies as for any
+      // other source.
+      const BenchmarkInfo& info = findBenchmark(spec.name);
+      if (info.source == BenchmarkSource::Generated) {
+        const TruthTable tt = generatorTable(info.generator);
+        on = isopCover(info.paperUsedDual ? tt.complemented() : tt);
       } else {
-        throw InvalidArgument("circuit \"" + spec.name +
-                              "\": registry circuits support synth none/espresso only");
+        on = standInCover(info.name);
       }
-      synthesized = true;
       break;
     }
     case CircuitSpec::Source::File: {
@@ -103,7 +100,7 @@ SynthesizedCover buildSynthesizedCover(const CircuitSpec& spec) {
     }
     case CircuitSpec::Source::Generator: {
       // Generated functions are born as ISOP covers of their truth table
-      // (the same base the benchmark registry uses), so synth=isop is a
+      // (as are the registry's generated rows), so synth=isop is a
       // no-op for them and synth=espresso is the classic polish.
       on = isopCover(generatorTable(spec.name));
       dc = Cover(on.nin(), on.nout());
@@ -121,27 +118,25 @@ SynthesizedCover buildSynthesizedCover(const CircuitSpec& spec) {
   result.sourceProducts = on.size();
 
   // --- synthesis ------------------------------------------------------------
-  if (!synthesized) {
-    switch (spec.synth) {
-      case CircuitSpec::Synth::None:
-        break;
-      case CircuitSpec::Synth::Espresso:
-        on = espressoMinimize(on, dc);
-        break;
-      case CircuitSpec::Synth::Qm:
-        MCX_REQUIRE(on.nin() <= 12, "circuit spec: synth qm is exact and limited to 12 "
-                                    "inputs (got " + std::to_string(on.nin()) + ")");
-        on = qmCover(on, dc);
-        break;
-      case CircuitSpec::Synth::Isop:
-        MCX_REQUIRE(on.nin() <= 16, "circuit spec: synth isop round-trips an explicit "
-                                    "truth table, limited to 16 inputs (got " +
-                                        std::to_string(on.nin()) + ")");
-        if (spec.source != CircuitSpec::Source::Generator)
-          on = dc.empty() ? isopCover(TruthTable::fromCover(on))
-                          : isopCover(TruthTable::fromCover(on), TruthTable::fromCover(dc));
-        break;
-    }
+  switch (spec.synth) {
+    case CircuitSpec::Synth::None:
+      break;
+    case CircuitSpec::Synth::Espresso:
+      on = espressoMinimize(on, dc);
+      break;
+    case CircuitSpec::Synth::Qm:
+      MCX_REQUIRE(on.nin() <= 12, "circuit spec: synth qm is exact and limited to 12 "
+                                  "inputs (got " + std::to_string(on.nin()) + ")");
+      on = qmCover(on, dc);
+      break;
+    case CircuitSpec::Synth::Isop:
+      MCX_REQUIRE(on.nin() <= 16, "circuit spec: synth isop round-trips an explicit "
+                                  "truth table, limited to 16 inputs (got " +
+                                      std::to_string(on.nin()) + ")");
+      if (spec.source != CircuitSpec::Source::Generator)
+        on = dc.empty() ? isopCover(TruthTable::fromCover(on))
+                        : isopCover(TruthTable::fromCover(on), TruthTable::fromCover(dc));
+      break;
   }
   result.synthMillis = watch.millis();
   result.on = std::move(on);

@@ -6,10 +6,11 @@
 // the uncached compile; circuit/cache.hpp memoizes it by content so
 // repeated experiments over the same declaration skip re-synthesis.
 //
-// Bit-identity contract: a Registry spec with synth=none reproduces exactly
-// the covers the experiment suites always used (loadBenchmarkFast +
-// buildFunctionMatrix / mapToNand with default options) — the committed
-// BENCH_*.json success counts stay the regression anchor of this front-end.
+// This is the one front-end for the paper's circuits: a Registry spec's
+// source cover comes from benchdata/registry.hpp (a generator's ISOP or a
+// stand-in), and its synthesis step runs like any other source's. The
+// committed BENCH_*.json success counts are the regression anchor of the
+// covers it produces.
 #pragma once
 
 #include <optional>
@@ -73,8 +74,7 @@ Circuit realizeCircuit(const CircuitSpec& spec, const SynthesizedCover& synthesi
 
 /// Compile a spec, uncached (both stages). Throws mcx::ParseError for
 /// unparsable sources, mcx::InvalidArgument for semantically impossible
-/// pipelines (unknown registry name, qm/isop beyond their arity bounds,
-/// synthesis steps on registry circuits other than none/espresso).
+/// pipelines (unknown registry name, qm/isop beyond their arity bounds).
 Circuit buildCircuit(const CircuitSpec& spec);
 
 }  // namespace mcx

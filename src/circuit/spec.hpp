@@ -33,7 +33,7 @@ struct CircuitSpec {
   /// Two-level synthesis step applied to the source cover.
   enum class Synth {
     None,      ///< use the source cover as-is
-    Espresso,  ///< heuristic minimization (registry: the polished load)
+    Espresso,  ///< heuristic minimization
     Qm,        ///< exact Quine-McCluskey minimum per output (small arity)
     Isop,      ///< irredundant SOP via truth-table round-trip
   };

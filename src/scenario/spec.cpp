@@ -205,7 +205,7 @@ double SpecValue::numberOr(const std::string& key, double fallback) const {
   const SpecValue* v = find(key);
   if (v == nullptr) return fallback;
   if (v->kind != Kind::Number)
-    throw ParseError("scenario spec: member \"" + key + "\" must be a number");
+    throw ParseError("member \"" + key + "\" must be a number");
   return v->number;
 }
 
@@ -213,7 +213,7 @@ std::string SpecValue::stringOr(const std::string& key, const std::string& fallb
   const SpecValue* v = find(key);
   if (v == nullptr) return fallback;
   if (v->kind != Kind::String)
-    throw ParseError("scenario spec: member \"" + key + "\" must be a string");
+    throw ParseError("member \"" + key + "\" must be a string");
   return v->string;
 }
 
@@ -221,7 +221,7 @@ bool SpecValue::boolOr(const std::string& key, bool fallback) const {
   const SpecValue* v = find(key);
   if (v == nullptr) return fallback;
   if (v->kind != Kind::Bool)
-    throw ParseError("scenario spec: member \"" + key + "\" must be a boolean");
+    throw ParseError("member \"" + key + "\" must be a boolean");
   return v->boolean;
 }
 

@@ -34,7 +34,8 @@ struct SpecValue {
 
   /// Typed member accessors with fallbacks; throw ParseError when the member
   /// exists but has the wrong type (a silently ignored typo'd spec would
-  /// run the wrong scenario).
+  /// run the wrong experiment). The message names the member only: the
+  /// scenario, mapper and circuit registries all read their specs here.
   double numberOr(const std::string& key, double fallback) const;
   std::string stringOr(const std::string& key, const std::string& fallback) const;
   bool boolOr(const std::string& key, bool fallback) const;

@@ -4,13 +4,19 @@
 // success counts exactly. This pins the whole chain — circuit registry ->
 // synthesis pipeline -> memo cache -> builder -> config -> engine ->
 // pre-split RNG streams -> mapper — to the numbers every prior PR has
-// preserved.
+// preserved. The committed BENCH_table2_defect_mc.json pins the registry
+// covers with espresso on the generated rows the same way.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 
 #include "api/experiment.hpp"
+#include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
+#include "circuit/registry.hpp"
+#include "map/exact_mapper.hpp"
+#include "map/hybrid_mapper.hpp"
 #include "scenario/spec.hpp"
 
 #ifndef MCX_REPO_ROOT
@@ -19,6 +25,14 @@
 
 namespace mcx {
 namespace {
+
+SpecValue readCommittedJson(const std::string& file) {
+  std::ifstream in(std::string(MCX_REPO_ROOT) + "/" + file);
+  EXPECT_TRUE(in.good()) << "committed " << file << " not found";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return parseSpec(buffer.str());
+}
 
 /// The committed workloads as circuit-pipeline declarations (what the
 /// multilevel suite runs): espresso-polished generated circuits, fast
@@ -33,11 +47,7 @@ std::string workloadSpec(const std::string& name) {
 }
 
 TEST(BenchJsonRegression, BuilderReproducesCommittedLegacySuccessCounts) {
-  std::ifstream file(std::string(MCX_REPO_ROOT) + "/BENCH_defect_mc.json");
-  ASSERT_TRUE(file.good()) << "committed BENCH_defect_mc.json not found";
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const SpecValue doc = parseSpec(buffer.str());
+  const SpecValue doc = readCommittedJson("BENCH_defect_mc.json");
   ASSERT_TRUE(doc.isObject());
 
   const auto samples = static_cast<std::size_t>(doc.numberOr("samples", 0));
@@ -91,6 +101,59 @@ TEST(BenchJsonRegression, BuilderReproducesCommittedLegacySuccessCounts) {
   // 4 circuits x {HBA, EA} legacy rows — fail loudly if the committed file
   // ever loses its regression surface.
   EXPECT_EQ(checked, 8u);
+}
+
+TEST(BenchJsonRegression, Table2ReproducesCommittedCounts) {
+  // The table2 suite's declarations: every Table II registry circuit,
+  // espresso on generated rows only (stand-ins are built at the paper's
+  // post-minimization P), HBA and EA at 10% i.i.d. stuck-open defects.
+  const SpecValue doc = readCommittedJson("BENCH_table2_defect_mc.json");
+  ASSERT_TRUE(doc.isObject());
+  const auto samples = static_cast<std::size_t>(doc.numberOr("samples", 0));
+  ASSERT_EQ(samples, 200u);
+  ASSERT_EQ(doc.numberOr("stuck_open_rate", 0.0), 0.10);
+  const SpecValue* circuits = doc.find("circuits");
+  ASSERT_NE(circuits, nullptr);
+
+  DefectExperimentConfig cfg;
+  cfg.samples = samples;
+  cfg.model = std::make_shared<IidBernoulli>(0.10);
+  cfg.seed = 0x7ab1e2;
+  cfg.threads = 1;
+  const HybridMapper hba;
+  const ExactMapper ea;
+
+  std::size_t checked = 0;
+  for (const SpecValue& circuit : circuits->array) {
+    const std::string name = circuit.stringOr("name", "");
+    CircuitSpec spec = makeCircuitSpec(name);
+    if (findBenchmark(name).source == BenchmarkSource::Generated)
+      spec.synth = CircuitSpec::Synth::Espresso;
+    const std::shared_ptr<const Circuit> compiled = compileCircuit(spec);
+    EXPECT_EQ(compiled->fm.dims().area(),
+              static_cast<std::size_t>(circuit.numberOr("area", 0)))
+        << name;
+
+    const SpecValue* mappers = circuit.find("mappers");
+    ASSERT_NE(mappers, nullptr) << name;
+    for (const SpecValue& entry : mappers->array) {
+      const std::string mapperName = entry.stringOr("mapper", "");
+      const IMapper* mapper = mapperName == "HBA"  ? static_cast<const IMapper*>(&hba)
+                              : mapperName == "EA" ? static_cast<const IMapper*>(&ea)
+                                                   : nullptr;
+      ASSERT_NE(mapper, nullptr) << "unexpected committed mapper " << mapperName;
+      const SpecValue* runs = entry.find("runs");
+      ASSERT_NE(runs, nullptr);
+      ASSERT_FALSE(runs->array.empty());
+      const auto committed =
+          static_cast<std::size_t>(runs->array.front().numberOr("successes", -1));
+      EXPECT_EQ(runDefectExperiment(compiled->fm, *mapper, cfg).successes, committed)
+          << name << " / " << mapperName;
+      ++checked;
+    }
+  }
+  // 16 Table II circuits x {HBA, EA}.
+  EXPECT_EQ(checked, 32u);
 }
 
 }  // namespace

@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "assign/hopcroft_karp.hpp"
-#include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
 #include "map/matching.hpp"
-#include "netlist/nand_mapper.hpp"
 #include "scenario/registry.hpp"
 #include "util/rng.hpp"
 #include "xbar/defects.hpp"
@@ -113,8 +112,9 @@ TEST(HopcroftKarpIdentity, MatchesTextbookOnRandomRectangularAdjacencies) {
 }
 
 TEST(HopcroftKarpIdentity, MatchesTextbookOnBwMultiLevelSamples) {
-  const MultiLevelLayout layout =
-      buildMultiLevelLayout(mapToNand(loadBenchmarkFast("bw").cover));
+  const std::shared_ptr<const Circuit> bw =
+      compileCircuit(R"({"circuit":"bw","realize":"multilevel"})");
+  const MultiLevelLayout& layout = *bw->layout;
   const auto model = makeScenario("paper-iid", 0.10);
   Rng rng(0xb3);
   DefectMap defects;

@@ -6,6 +6,7 @@
 
 #include "api/driver.hpp"
 #include "benchdata/registry.hpp"
+#include "map/registry.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
@@ -18,7 +19,7 @@ TEST(CircuitRegistry, CoversEveryPaperBenchmark) {
     EXPECT_EQ(preset->spec.source, CircuitSpec::Source::Registry);
     EXPECT_EQ(preset->spec.name, info.name);
     EXPECT_EQ(preset->spec.synth, CircuitSpec::Synth::None)
-        << info.name << ": registry presets must keep the historical fast load";
+        << info.name << ": registry presets compile the source cover as built";
   }
 }
 
@@ -38,6 +39,25 @@ TEST(CircuitRegistry, MakeCircuitSpecResolvesPresetsAndSources) {
   EXPECT_EQ(makeCircuitSpec("  {\"circuit\": \"bw\"}").name, "bw");
   EXPECT_EQ(makeCircuitSpec("gen:parity4").source, CircuitSpec::Source::Generator);
   EXPECT_THROW(makeCircuitSpec("no-such-circuit"), ParseError);
+}
+
+TEST(CircuitRegistry, MistypedMemberErrorsNameOnlyTheMember) {
+  // Circuit, mapper and scenario specs share the typed member accessors; a
+  // circuit or mapper error must not be labelled as a scenario one.
+  const auto parseMessage = [](const auto& parse) -> std::string {
+    try {
+      parse();
+    } catch (const ParseError& e) {
+      return e.what();
+    }
+    return "no ParseError";
+  };
+  for (const std::string& message :
+       {parseMessage([] { makeCircuitSpec(R"({"circuit":"bw","label":5})"); }),
+        parseMessage([] { makeMapper(R"({"mapper":5})"); })}) {
+    EXPECT_EQ(message.find("scenario"), std::string::npos) << message;
+    EXPECT_NE(message.find("must be a string"), std::string::npos) << message;
+  }
 }
 
 TEST(CircuitRegistry, ListCircuitsPrintsEveryPreset) {

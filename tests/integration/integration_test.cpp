@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
 #include "logic/espresso.hpp"
 #include "logic/generators.hpp"
 #include "logic/isop.hpp"
@@ -73,10 +74,11 @@ TEST(Integration, PlaRoundTripThroughMinimizerAndMapper) {
 }
 
 TEST(Integration, MultiLevelPipelineOnStructuredFunction) {
-  const BenchmarkCircuit t481 = loadBenchmarkFast("t481");
-  const NandNetwork net = mapToNand(t481.cover);
-  const MultiLevelLayout layout = buildMultiLevelLayout(net);
-  EXPECT_LT(layout.dims().area(), twoLevelDims(t481.cover).area());
+  const std::shared_ptr<const Circuit> t481 =
+      compileCircuit(R"({"circuit":"t481","realize":"multilevel"})");
+  ASSERT_TRUE(t481->layout.has_value());
+  const MultiLevelLayout& layout = *t481->layout;
+  EXPECT_LT(layout.dims().area(), twoLevelDims(t481->cover).area());
 
   // Clean simulation agrees with the cover on sampled inputs.
   const DefectMap clean(layout.fm.rows(), layout.fm.cols());
@@ -85,15 +87,15 @@ TEST(Integration, MultiLevelPipelineOnStructuredFunction) {
   for (int rep = 0; rep < 50; ++rep) {
     DynBits in(16);
     for (std::size_t v = 0; v < 16; ++v) in.set(v, rng.bernoulli(0.5));
-    const DynBits expected = t481.cover.evaluate(in);
+    const DynBits expected = t481->cover.evaluate(in);
     const DynBits got = simulateMultiLevel(layout, id, clean, in);
     EXPECT_EQ(got.test(0), expected.test(0)) << "rep=" << rep;
   }
 }
 
 TEST(Integration, Table2StyleExperimentOnMisex1StandIn) {
-  const BenchmarkCircuit misex1 = loadBenchmarkFast("misex1");
-  const FunctionMatrix fm = buildFunctionMatrix(misex1.cover);
+  const std::shared_ptr<const Circuit> misex1 = compileCircuit("misex1");
+  const FunctionMatrix& fm = misex1->fm;
   EXPECT_EQ(fm.dims().area(), 570u);
 
   DefectExperimentConfig cfg;
@@ -109,9 +111,9 @@ TEST(Integration, Table2StyleExperimentOnMisex1StandIn) {
 TEST(Integration, WholeRegistryBuildsFunctionMatrices) {
   for (const auto& info : paperBenchmarks()) {
     if (!info.inTable2) continue;
-    const BenchmarkCircuit c = loadBenchmarkFast(info.name);
-    const FunctionMatrix fm = buildFunctionMatrix(c.cover);
-    EXPECT_EQ(fm.rows(), c.cover.size() + c.cover.nout()) << info.name;
+    const std::shared_ptr<const Circuit> c = compileCircuit(info.name);
+    const FunctionMatrix& fm = c->fm;
+    EXPECT_EQ(fm.rows(), c->cover.size() + c->cover.nout()) << info.name;
     EXPECT_GT(fm.inclusionRatio(), 0.0) << info.name;
     EXPECT_LT(fm.inclusionRatio(), 1.0) << info.name;
   }

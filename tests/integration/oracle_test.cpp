@@ -3,7 +3,7 @@
 // Quine-McCluskey exact cover) must agree.
 #include <gtest/gtest.h>
 
-#include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
 #include "logic/bdd.hpp"
 #include "logic/espresso.hpp"
 #include "logic/generators.hpp"
@@ -89,12 +89,12 @@ TEST(OracleConsistency, GeneratedBenchmarksRoundTripThroughExports) {
   // The exporters must at least produce structurally complete artifacts for
   // every generated benchmark.
   for (const char* name : {"rd53", "sqrt8"}) {
-    const BenchmarkCircuit bench = loadBenchmarkFast(name);
-    const NandNetwork net = mapToNandBest(bench.cover);
+    const std::shared_ptr<const Circuit> bench = compileCircuit(name);
+    const NandNetwork net = mapToNandBest(bench->cover);
     const std::string dot = toDot(net, name);
     const std::string verilog = toVerilog(net, name);
     EXPECT_NE(dot.find("digraph"), std::string::npos) << name;
-    for (std::size_t o = 0; o < bench.cover.nout(); ++o) {
+    for (std::size_t o = 0; o < bench->cover.nout(); ++o) {
       std::string port = "o";  // append form: GCC 12 -Wrestrict (PR 105329)
       port += std::to_string(o + 1);
       EXPECT_NE(verilog.find(port), std::string::npos) << name;

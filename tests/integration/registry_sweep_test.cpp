@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "benchdata/registry.hpp"
+#include "circuit/cache.hpp"
 #include "map/fast_exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "scenario/defect_model.hpp"
@@ -16,9 +17,9 @@ namespace {
 class RegistrySweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RegistrySweep, GeometryInvariants) {
-  const BenchmarkCircuit bench = loadBenchmarkFast(GetParam());
-  const Cover& c = bench.cover;
-  const FunctionMatrix fm = buildFunctionMatrix(c);
+  const std::shared_ptr<const Circuit> circuit = compileCircuit(GetParam());
+  const Cover& c = circuit->cover;
+  const FunctionMatrix& fm = circuit->fm;
   EXPECT_EQ(fm.rows(), c.size() + c.nout());
   EXPECT_EQ(fm.cols(), 2 * c.nin() + 2 * c.nout());
   EXPECT_EQ(fm.dims(), twoLevelDims(c));
@@ -36,8 +37,8 @@ TEST_P(RegistrySweep, GeometryInvariants) {
 }
 
 TEST_P(RegistrySweep, CleanCrossbarAlwaysMaps) {
-  const BenchmarkCircuit bench = loadBenchmarkFast(GetParam());
-  const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
+  const std::shared_ptr<const Circuit> circuit = compileCircuit(GetParam());
+  const FunctionMatrix& fm = circuit->fm;
   const BitMatrix cm(fm.rows(), fm.cols(), true);
   const MappingResult r = HybridMapper().map(fm, cm);
   ASSERT_TRUE(r.success);
@@ -45,8 +46,8 @@ TEST_P(RegistrySweep, CleanCrossbarAlwaysMaps) {
 }
 
 TEST_P(RegistrySweep, DefectiveMappingVerifies) {
-  const BenchmarkCircuit bench = loadBenchmarkFast(GetParam());
-  const FunctionMatrix fm = buildFunctionMatrix(bench.cover);
+  const std::shared_ptr<const Circuit> circuit = compileCircuit(GetParam());
+  const FunctionMatrix& fm = circuit->fm;
   Rng rng(0xfeed);
   const HybridMapper hba;
   const FastExactMapper eaFast;

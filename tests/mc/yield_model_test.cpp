@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/cache.hpp"
 #include "logic/sop_parser.hpp"
-#include "benchdata/registry.hpp"
 #include "map/exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "mc/defect_experiment.hpp"
@@ -99,7 +99,8 @@ TEST(YieldModel, CrossChecksMonteCarloUnderIidBernoulli) {
   // optimum-size mid-cliff the sequential-greedy approximation runs
   // pessimistic against a true maximum matching — also documented in
   // yield_model.hpp — so only the low-rate point is checked there).
-  const FunctionMatrix fm = buildFunctionMatrix(loadBenchmarkFast("misex1").cover);
+  const std::shared_ptr<const Circuit> misex1 = compileCircuit("misex1");
+  const FunctionMatrix& fm = misex1->fm;
   struct Point {
     double q;
     std::size_t spares;
