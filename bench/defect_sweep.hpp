@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,17 +27,6 @@ inline std::vector<std::size_t> threadsSweep() {
   if (hw > 4) sweep.push_back(hw);
   return sweep;
 }
-
-/// Machine-readable output path: MCX_BENCH_JSON, or the bench's default
-/// (shared by every JSON-emitting bench; previously copy-pasted).
-inline std::string jsonOutputPath(const std::string& fallback) {
-  const char* env = std::getenv("MCX_BENCH_JSON");
-  return (env != nullptr && *env != '\0') ? env : fallback;
-}
-
-/// The "scenario" label of rows drawn by the legacy IidBernoulli (the same
-/// label the builder and the service report for legacyRates declarations).
-inline const std::string kLegacyScenario = "iid (legacy rates)";
 
 struct SweepOutcome {
   /// The result of the first (threads = sweep.front()) run.

@@ -26,7 +26,6 @@
 
 #include "api/driver.hpp"
 #include "circuit/cache.hpp"
-#include "defect_sweep.hpp"
 #include "map/registry.hpp"
 #include "mc/defect_experiment.hpp"
 #include "util/json_writer.hpp"

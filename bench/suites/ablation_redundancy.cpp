@@ -4,13 +4,18 @@
 // without stuck-at-closed defects. On an optimum-size crossbar any
 // stuck-at-closed defect is fatal (it poisons a full row and column); spare
 // lines plus column-pair reassignment recover the yield, quantifying the
-// area-redundancy tradeoff the paper calls for.
+// area-redundancy tradeoff the paper calls for. Each cell is one engine run
+// (runDefectExperiment with DefectExperimentConfig::spares) of the colperm
+// mapper, which places the function on the least-defective pairs; the
+// success rate carries its 95% Wilson half-width.
 #include <iostream>
 #include <vector>
 
 #include "api/driver.hpp"
 #include "circuit/cache.hpp"
-#include "map/redundant_mapper.hpp"
+#include "map/registry.hpp"
+#include "mc/defect_experiment.hpp"
+#include "mc/stats.hpp"
 #include "scenario/defect_model.hpp"
 #include "util/text_table.hpp"
 
@@ -40,30 +45,27 @@ int runRedundancy(const std::vector<std::string>& args) {
                                 {"10% open + 0.2% stuck-closed", 0.10, 0.002},
                                 {"10% open + 1% stuck-closed", 0.10, 0.01}};
 
+  const std::shared_ptr<const IMapper> mapper = makeMapper("colperm");
   for (const Scenario& sc : scenarios) {
     TextTable table({"spares (rows/in-pairs/out-pairs)", "area overhead", "success rate"});
     for (const std::size_t spare : {0u, 1u, 2u, 4u, 8u, 12u}) {
-      RedundantCrossbarSpec spec;
-      spec.spareRows = spare;
-      spec.spareInputPairs = (spare + 1) / 2;
-      spec.spareOutputPairs = (spare + 2) / 3;
-      const CrossbarDims dims = redundantDims(fm, spec);
-      const RedundantMapper mapper(spec);
+      DefectExperimentConfig cfg;
+      cfg.samples = samples;
+      cfg.spares.spareRows = spare;
+      cfg.spares.spareInputPairs = (spare + 1) / 2;
+      cfg.spares.spareOutputPairs = (spare + 2) / 3;
+      cfg.model = std::make_shared<IidBernoulli>(sc.open, sc.closed);
+      cfg.seed = 1234 + spare;
+      const DefectExperimentResult r = runDefectExperiment(fm, *mapper, cfg);
 
-      Rng rng(1234 + spare);
-      std::size_t successes = 0;
-      for (std::size_t s = 0; s < samples; ++s) {
-        Rng sampleRng = rng.split();
-        const DefectMap defects =
-            IidBernoulli(sc.open, sc.closed).sample(dims.rows, dims.cols, sampleRng);
-        if (mapper.map(fm, defects, 77 + s).success) ++successes;
-      }
       const double overhead =
-          100.0 * (double(dims.area()) / double(fm.dims().area()) - 1.0);
-      table.addRow({std::to_string(spare) + "/" + std::to_string(spec.spareInputPairs) + "/" +
-                        std::to_string(spec.spareOutputPairs),
+          100.0 * (double(redundantDims(fm, cfg.spares).area()) / double(fm.dims().area()) -
+                   1.0);
+      table.addRow({std::to_string(spare) + "/" + std::to_string(cfg.spares.spareInputPairs) +
+                        "/" + std::to_string(cfg.spares.spareOutputPairs),
                     TextTable::num(overhead, 0) + "%",
-                    TextTable::percent(double(successes) / double(samples))});
+                    TextTable::percent(r.successRate()) + " +/- " +
+                        TextTable::percent(wilsonHalfWidth(r.successes, r.completed), 1)});
     }
     std::cout << sc.label << ":\n" << table << "\n";
   }

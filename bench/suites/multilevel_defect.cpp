@@ -122,7 +122,7 @@ int runMultilevelDefect(const std::vector<std::string>& args) {
     const ExactMapper ea;
 
     json.key("mappers").beginArray();
-    const std::string& legacy = benchutil::kLegacyScenario;
+    const std::string& legacy = kLegacyScenario;
     const std::string sparse = sparseCfg.model->describe();
     const benchutil::SweepOutcome hbaOut =
         benchutil::runThreadsSweep(fm, hba, cfg, legacy, sweep, json);

@@ -177,9 +177,10 @@ int runSweep(const Sweep& sweep, const std::string& jsonPath) {
   bool allDeterministic = true;
 
   for (const std::string& name : sweep.circuits) {
-    // Circuit declarations through the memoized pipeline: registry names
-    // keep the fast two-level load (the committed BENCH_scenarios counts
-    // pin it), and any file:/pla:/sop:/gen:/JSON spec sweeps too.
+    // Circuit declarations through the memoized pipeline: a bare registry
+    // name compiles its source cover with synth=none (the committed
+    // BENCH_scenarios counts pin it), and any file:/pla:/sop:/gen:/JSON
+    // spec sweeps too.
     const std::shared_ptr<const Circuit> circuit = compileCircuit(name);
     const FunctionMatrix& fm = circuit->fm;
     for (const ScenarioEntry& scenario : sweep.scenarios) {

@@ -78,9 +78,9 @@ int runTable2(const std::vector<std::string>& args) {
 
     json.key("mappers").beginArray();
     const benchutil::SweepOutcome hbaOut =
-        benchutil::runThreadsSweep(fm, hba, cfg, benchutil::kLegacyScenario, sweep, json);
+        benchutil::runThreadsSweep(fm, hba, cfg, kLegacyScenario, sweep, json);
     const benchutil::SweepOutcome eaOut =
-        benchutil::runThreadsSweep(fm, ea, cfg, benchutil::kLegacyScenario, sweep, json);
+        benchutil::runThreadsSweep(fm, ea, cfg, kLegacyScenario, sweep, json);
     json.endArray();
     json.endObject();
     allDeterministic = allDeterministic && hbaOut.deterministic && eaOut.deterministic;

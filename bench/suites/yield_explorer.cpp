@@ -7,9 +7,10 @@
 // crossbar but absorbable with spare rows and column pairs.
 //
 // --scenario takes a registry preset name (see --list) or an inline JSON
-// spec; --rate sets the preset's overall defect budget. Samples are
-// distributed over --threads workers with pre-split per-sample RNG
-// streams, so results do not depend on the thread count.
+// spec; --rate sets the preset's overall defect budget. Each budget is one
+// engine run (runDefectExperiment with DefectExperimentConfig::spares) of
+// the colperm mapper on --threads workers; per-sample RNG streams make the
+// results independent of the thread count.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -17,7 +18,8 @@
 
 #include "api/driver.hpp"
 #include "circuit/cache.hpp"
-#include "map/redundant_mapper.hpp"
+#include "map/registry.hpp"
+#include "mc/defect_experiment.hpp"
 #include "mc/executor.hpp"
 #include "mc/stats.hpp"
 #include "scenario/registry.hpp"
@@ -69,33 +71,21 @@ int runYieldExplorer(const std::vector<std::string>& args) {
             << resolveThreadCount(threads) << " threads)\n\n";
 
   TextTable table({"spare rows", "spare in-pairs", "spare out-pairs", "success rate"});
+  const std::shared_ptr<const IMapper> mapper = makeMapper("colperm");
   for (const std::size_t spare : {0u, 1u, 2u, 4u, 8u}) {
-    RedundantCrossbarSpec spec;
-    spec.spareRows = spare;
-    spec.spareInputPairs = spare / 2;
-    spec.spareOutputPairs = spare / 2;
-    const CrossbarDims dims = redundantDims(fm, spec);
-    const RedundantMapper mapper(spec);
-
-    // One pre-split stream per sample (in sample order): success counts are
-    // identical at any --threads value.
-    const std::vector<Rng> streams = splitSampleStreams(seed + spare, samples);
-    std::vector<char> success(samples, 0);
-    const std::size_t workers = resolveThreadCount(threads);
-    std::vector<DefectMap> scratch(workers);
-    parallelForEach(samples, threads, [&](std::size_t worker, std::size_t s) {
-      Rng sampleRng = streams[s];
-      model->generate(dims.rows, dims.cols, sampleRng, scratch[worker]);
-      if (mapper.map(fm, scratch[worker], 1000 + s).success) success[s] = 1;
-    });
-    std::size_t successes = 0;
-    for (const char ok : success) successes += static_cast<std::size_t>(ok);
-
-    const double successRate = static_cast<double>(successes) / static_cast<double>(samples);
-    table.addRow({std::to_string(spare), std::to_string(spec.spareInputPairs),
-                  std::to_string(spec.spareOutputPairs),
-                  TextTable::percent(successRate) + " +/- " +
-                      TextTable::percent(wilsonHalfWidth(successes, samples), 1)});
+    DefectExperimentConfig cfg;
+    cfg.samples = samples;
+    cfg.spares.spareRows = spare;
+    cfg.spares.spareInputPairs = spare / 2;
+    cfg.spares.spareOutputPairs = spare / 2;
+    cfg.model = model;
+    cfg.seed = seed + spare;
+    cfg.threads = threads;
+    const DefectExperimentResult r = runDefectExperiment(fm, *mapper, cfg);
+    table.addRow({std::to_string(spare), std::to_string(cfg.spares.spareInputPairs),
+                  std::to_string(cfg.spares.spareOutputPairs),
+                  TextTable::percent(r.successRate()) + " +/- " +
+                      TextTable::percent(wilsonHalfWidth(r.successes, r.completed), 1)});
   }
   std::cout << table;
   std::cout << "\nWith zero spares any stuck-closed defect is fatal (Section IV-A of the\n"

@@ -106,7 +106,7 @@ ExperimentBuilder& ExperimentBuilder::scenario(std::shared_ptr<const DefectModel
 
 ExperimentBuilder& ExperimentBuilder::legacyRates(double stuckOpen, double stuckClosed) {
   config_.model = std::make_shared<IidBernoulli>(stuckOpen, stuckClosed);
-  scenarioLabel_ = "iid (legacy rates)";
+  scenarioLabel_ = kLegacyScenario;
   return *this;
 }
 
@@ -126,7 +126,7 @@ ExperimentBuilder& ExperimentBuilder::threads(std::size_t threads) {
 }
 
 ExperimentBuilder& ExperimentBuilder::spareRows(std::size_t spares) {
-  config_.spareRows = spares;
+  config_.spares.spareRows = spares;
   return *this;
 }
 

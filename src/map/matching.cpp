@@ -274,38 +274,32 @@ FeasibleAssignment solveFeasibleAssignment(const BitMatrix& adjacency) {
   return result;
 }
 
-bool verifyMapping(const FunctionMatrix& fm, const BitMatrix& cm, const MappingResult& result) {
-  if (!result.success) return false;
-  if (result.rowAssignment.size() != fm.rows()) return false;
-  // Distinctness via a CM-row bitmask (no sort, no per-call allocation of
-  // fm.rows() indices — this runs once per successful Monte Carlo sample).
-  using Word = BitMatrix::Word;
-  std::vector<Word> used((cm.rows() + BitMatrix::kWordBits - 1) / BitMatrix::kWordBits, 0);
-  for (const std::size_t cmRow : result.rowAssignment) {
-    if (cmRow >= cm.rows()) return false;
-    Word& word = used[cmRow / BitMatrix::kWordBits];
-    const Word mask = Word{1} << (cmRow % BitMatrix::kWordBits);
-    if ((word & mask) != 0) return false;
-    word |= mask;
-  }
-
-  const FunctionMatrix* effective = &fm;
-  FunctionMatrix permuted;
-  if (!result.inputPermutation.empty()) {
-    permuted = fm.withInputPermutation(result.inputPermutation);
-    effective = &permuted;
-  }
-  for (std::size_t r = 0; r < effective->rows(); ++r) {
-    if (!rowMatches(effective->bits(), r, cm, result.rowAssignment[r])) return false;
-  }
-  return true;
+bool verifyMapping(const FunctionMatrix& fm, const BitMatrix& cm, const MappingResult& result,
+                   const RedundantCrossbarSpec& spares) {
+  return result.success && result.droppedRows.empty() &&
+         verifyPartialMapping(fm, cm, result, spares);
 }
 
 bool verifyPartialMapping(const FunctionMatrix& fm, const BitMatrix& cm,
-                          const MappingResult& result) {
+                          const MappingResult& result, const RedundantCrossbarSpec& spares) {
   if (result.rowAssignment.size() != fm.rows()) return false;
-  if (!result.inputPermutation.empty()) return false;  // approx mappers never permute
+  // The FM as the mapping placed it: its own columns, or embedded on the
+  // result's pair choice (a malformed choice is a rejected claim).
+  FunctionMatrix placed;
+  const bool embeds = !result.inputPermutation.empty() || !result.outputPairs.empty() ||
+                      spares.hasSparePairs();
+  if (embeds) {
+    try {
+      placed = fm.embedded(spares, result.inputPermutation, result.outputPairs);
+    } catch (const InvalidArgument&) {
+      return false;
+    }
+  }
+  const BitMatrix& bits = embeds ? placed.bits() : fm.bits();
+  if (bits.cols() != cm.cols()) return false;
   // droppedRows must be exactly the unassigned rows, strictly ascending.
+  // Distinctness via a CM-row bitmask (no sort, no per-call allocation of
+  // fm.rows() indices — this runs once per successful Monte Carlo sample).
   std::size_t nextDrop = 0;
   using Word = BitMatrix::Word;
   std::vector<Word> used((cm.rows() + BitMatrix::kWordBits - 1) / BitMatrix::kWordBits, 0);
@@ -322,7 +316,7 @@ bool verifyPartialMapping(const FunctionMatrix& fm, const BitMatrix& cm,
     const Word mask = Word{1} << (cmRow % BitMatrix::kWordBits);
     if ((word & mask) != 0) return false;
     word |= mask;
-    if (!rowMatches(fm.bits(), r, cm, cmRow)) return false;
+    if (!rowMatches(bits, r, cm, cmRow)) return false;
   }
   return nextDrop == result.droppedRows.size();
 }

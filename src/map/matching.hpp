@@ -71,6 +71,11 @@ public:
     dirty_ = dirty;
   }
 
+  /// Spare lines of the crossbar the CMs come from (the engine sets its
+  /// config's): the column-assignment mapper lays out a wider CM by them.
+  void setSpares(const RedundantCrossbarSpec& spares) { spares_ = spares; }
+  const RedundantCrossbarSpec& spares() const { return spares_; }
+
   /// Candidate adjacency of (fm, cm) in a reused internal buffer (valid
   /// until the next call on this context).
   const BitMatrix& candidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
@@ -80,6 +85,7 @@ private:
 
   const DefectMap* defects_ = nullptr;
   const DirtyRows* dirty_ = nullptr;
+  RedundantCrossbarSpec spares_;
 
   // Column -> FM rows index (CSR, for poisoned-column erasure) plus the
   // all-zero FM rows, built once per bound function matrix.
@@ -131,9 +137,11 @@ struct MappingResult {
   bool success = false;
   /// rowAssignment[fmRow] = CM row, for every FM row, when success.
   std::vector<std::size_t> rowAssignment;
-  /// Input-pair permutation applied before matching (identity unless the
-  /// column-permutation mapper found a non-trivial one).
+  /// Physical input pair of each variable and output pair of each output
+  /// (FunctionMatrix::embedded; empty = each on its own pair), as chosen by
+  /// the column-assignment mapper.
   std::vector<std::size_t> inputPermutation;
+  std::vector<std::size_t> outputPairs;
   /// Number of backtracking repairs attempted (HBA statistics).
   std::size_t backtracks = 0;
   /// Reserved for a mapper interrupted mid-solve before reaching a
@@ -160,16 +168,20 @@ struct MappingResult {
 };
 
 /// Check a claimed mapping: every required switch must land on a functional
-/// crosspoint, and the CM rows must be pairwise distinct.
-bool verifyMapping(const FunctionMatrix& fm, const BitMatrix& cm, const MappingResult& result);
+/// crosspoint, and the CM rows must be pairwise distinct. The FM is placed
+/// by the result's pair choice on the crossbar with @p spares.
+bool verifyMapping(const FunctionMatrix& fm, const BitMatrix& cm, const MappingResult& result,
+                   const RedundantCrossbarSpec& spares = {});
 
 /// Check a graded partial mapping (success == false, droppedRows set):
 /// every retained FM row must be assigned to a distinct fitting CM row, and
 /// the unassigned rows must be exactly the declared droppedRows. The
 /// physical half of the approx contract — the functional half (the
 /// realizedError value) is checked against truth tables in src/approx.
+/// verifyMapping is this check for a success with no dropped row.
 bool verifyPartialMapping(const FunctionMatrix& fm, const BitMatrix& cm,
-                          const MappingResult& result);
+                          const MappingResult& result,
+                          const RedundantCrossbarSpec& spares = {});
 
 /// Interface of all defect-tolerant mappers.
 class IMapper {

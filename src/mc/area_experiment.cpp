@@ -4,6 +4,7 @@
 
 #include "logic/generators.hpp"
 #include "map/hybrid_mapper.hpp"
+#include "mc/defect_experiment.hpp"
 #include "mc/executor.hpp"
 #include "util/error.hpp"
 #include "xbar/area_model.hpp"
@@ -15,19 +16,16 @@ namespace mcx {
 namespace {
 
 /// Mapping success rate of @p fm on its optimum-size crossbar under
-/// @p model, over @p draws defect maps from @p rng.
-double mappingYield(const FunctionMatrix& fm, const DefectModel& model, std::size_t draws,
-                    Rng& rng) {
-  const HybridMapper mapper;
-  DefectMap defects;
-  BitMatrix cm;
-  std::size_t successes = 0;
-  for (std::size_t d = 0; d < draws; ++d) {
-    model.generate(fm.rows(), fm.cols(), rng, defects);
-    crossbarMatrixInto(defects, cm);
-    if (mapper.map(fm, cm).success) ++successes;
-  }
-  return draws == 0 ? 0.0 : static_cast<double>(successes) / static_cast<double>(draws);
+/// @p model: one single-lane engine run of @p draws samples, seeded from
+/// the area sample's own stream @p rng (so fig6 stays thread-invariant).
+double mappingYield(const FunctionMatrix& fm, const std::shared_ptr<const DefectModel>& model,
+                    std::size_t draws, Rng& rng) {
+  DefectExperimentConfig cfg;
+  cfg.samples = draws;
+  cfg.model = model;
+  cfg.seed = rng();
+  cfg.threads = 1;
+  return runDefectExperiment(fm, HybridMapper(), cfg).successRate();
 }
 
 }  // namespace
@@ -79,10 +77,10 @@ AreaExperimentResult runAreaExperiment(const AreaExperimentConfig& config) {
       sample.multiLevelArea = multiLevelDims(net).area();
       if (config.defectModel) {
         sample.twoLevelYield =
-            mappingYield(buildFunctionMatrix(cover), *config.defectModel,
+            mappingYield(buildFunctionMatrix(cover), config.defectModel,
                          config.defectDraws, rng);
         sample.multiLevelYield =
-            mappingYield(buildMultiLevelLayout(net).fm, *config.defectModel,
+            mappingYield(buildMultiLevelLayout(net).fm, config.defectModel,
                          config.defectDraws, rng);
       }
       return;

@@ -5,7 +5,9 @@
 // mapped to NAND gates (the multi-level implementation), and both crossbar
 // areas are computed. The paper reports, per input size, the cost series
 // sorted by product count and the "success rate" — the share of samples
-// whose multi-level area beats the two-level one.
+// whose multi-level area beats the two-level one. With a defect scenario,
+// each sample's two implementations also get a mapping yield from the Monte
+// Carlo engine (runDefectExperiment), seeded from the sample's stream.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,9 @@ struct AreaExperimentConfig {
   /// Optional defect scenario: when set, each sample's two-level and
   /// multi-level implementations are additionally mapped (HBA) against
   /// defectDraws maps from the model, recording per-implementation yield —
-  /// the area/yield tradeoff Fig. 6 does not capture. Draws come from the
-  /// sample's own pre-split stream, so results stay thread-count-invariant.
+  /// the area/yield tradeoff Fig. 6 does not capture. Each yield is one
+  /// single-lane runDefectExperiment seeded from the sample's own pre-split
+  /// stream, so results stay thread-count-invariant.
   std::shared_ptr<const DefectModel> defectModel;
   std::size_t defectDraws = 20;
 };

@@ -22,7 +22,7 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
   // the full run bit-identically (the regression surface of the committed
   // bench counts).
   const std::vector<Rng> streams = splitSampleStreams(config.seed, config.samples);
-  const std::size_t rows = fm.rows() + config.spareRows;
+  const CrossbarDims dims = redundantDims(fm, config.spares);
 
   // Run on the caller's persistent pool when provided (the service shares
   // one across requests); otherwise on a transient pool sized by the
@@ -60,6 +60,7 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
     MappingContext ctx;
   };
   std::vector<Scratch> scratch(pool->slots());
+  for (Scratch& sc : scratch) sc.ctx.setSpares(config.spares);
 
   Stopwatch wall;
   obs::Span mcSpan("mc_experiment");
@@ -72,7 +73,7 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
 
     Scratch& sc = scratch[worker];
     Rng sampleRng = streams[s];
-    model.generateTracked(rows, fm.cols(), sampleRng, sc.defects, sc.dirty);
+    model.generateTracked(dims.rows, dims.cols, sampleRng, sc.defects, sc.dirty);
     crossbarMatrixInto(sc.defects, sc.cm);
     sc.ctx.setSample(&sc.defects, &sc.dirty);
 
@@ -87,12 +88,12 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
     }
 
     if (mapping.success && config.verify)
-      MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping),
+      MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping, config.spares),
                   "runDefectExperiment: mapper returned an invalid mapping");
     // Graded partial mappings carry a physical claim too (the retained rows
     // really fit their CM rows); check it under the same verify knob.
     if (!mapping.success && !mapping.droppedRows.empty() && config.verify)
-      MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping),
+      MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping, config.spares),
                   "runDefectExperiment: mapper returned an invalid partial mapping");
 
     PerSample& out = outcomes[s];

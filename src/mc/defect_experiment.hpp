@@ -3,8 +3,9 @@
 // For each sample a fresh defect map is drawn from the configured
 // DefectModel (required; IidBernoulli is the paper's independent uniform
 // per-crosspoint draw), the crossbar matrix is derived, and the mapper under
-// test runs on an optimum-size (or redundant) crossbar. Success rate and
-// runtime are accumulated — the quantities of Table II.
+// test runs on an optimum-size crossbar, or on one with spare lines
+// (DefectExperimentConfig::spares). Success rate and runtime are
+// accumulated — the quantities of Table II.
 //
 // This is the one sampling loop: callers that need a sample's defect map
 // again re-derive it from splitSampleStreams(seed, samples)[s] and
@@ -34,7 +35,9 @@ class ExecutorPool;
 
 struct DefectExperimentConfig {
   std::size_t samples = 200;       ///< the paper's sample size
-  std::size_t spareRows = 0;       ///< redundancy extension (A1)
+  /// Crossbar geometry: samples are redundantDims(fm, spares) defect maps.
+  /// Spare pairs need colperm; a row-only mapper throws InvalidArgument.
+  RedundantCrossbarSpec spares;
   /// Defect-pattern generator (the scenario subsystem). Required:
   /// runDefectExperiment throws InvalidArgument on null. The paper's Table
   /// II setting is IidBernoulli(0.10), stuck-open only.

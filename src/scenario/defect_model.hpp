@@ -73,6 +73,11 @@ private:
   double closed_;
 };
 
+/// The scenario label of an IidBernoulli declared by its bare rate pair
+/// (the builder's legacyRates, a serve request without "scenario", the
+/// benches' legacy rows): the wire string the committed bench JSONs key on.
+inline const std::string kLegacyScenario = "iid (legacy rates)";
+
 /// The same i.i.d. per-crosspoint distribution as IidBernoulli, sampled in
 /// O(defects) instead of O(crosspoints): one exact Binomial(area, rate) draw
 /// fixes the defect count, then each defect lands on a uniformly drawn

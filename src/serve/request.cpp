@@ -137,7 +137,7 @@ Request parseRequest(const std::string& line, const RequestLimits& limits) {
       // The pair is checked as the model that will draw it: an over-budget
       // open + closed is a parse error here, not an engine failure later.
       static_cast<void>(IidBernoulli(req.legacyOpen, req.legacyClosed));
-      req.scenarioLabel = "iid (legacy rates)";
+      req.scenarioLabel = kLegacyScenario;
     } else {
       if (doc.find("open") != nullptr || doc.find("closed") != nullptr)
         failParse("members \"open\"/\"closed\" require the legacy path (no \"scenario\")");

@@ -1,8 +1,15 @@
 #include "xbar/area_model.hpp"
 
 #include "util/error.hpp"
+#include "xbar/function_matrix.hpp"
 
 namespace mcx {
+
+CrossbarDims redundantDims(const FunctionMatrix& fm, const RedundantCrossbarSpec& spares) {
+  return {fm.rows() + spares.spareRows,
+          2 * (fm.nin() + spares.spareInputPairs) + fm.numConnectionCols() +
+              2 * (fm.nout() + spares.spareOutputPairs)};
+}
 
 CrossbarDims twoLevelDims(std::size_t nin, std::size_t nout, std::size_t products) {
   MCX_REQUIRE(nin > 0 && nout > 0 && products > 0, "twoLevelDims: empty shape");

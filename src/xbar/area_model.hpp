@@ -32,6 +32,22 @@ struct CrossbarDims {
   bool operator==(const CrossbarDims&) const = default;
 };
 
+/// Spare lines beyond the optimum-size crossbar of a function matrix (the
+/// paper's Section VI future work): rows, input pairs and output pairs.
+struct RedundantCrossbarSpec {
+  std::size_t spareRows = 0;
+  std::size_t spareInputPairs = 0;
+  std::size_t spareOutputPairs = 0;
+
+  bool hasSparePairs() const { return spareInputPairs > 0 || spareOutputPairs > 0; }
+};
+
+class FunctionMatrix;
+
+/// Physical dimensions of the redundant crossbar hosting @p fm (column
+/// layout: FunctionMatrix::inputPairColumns / outputPairColumns).
+CrossbarDims redundantDims(const FunctionMatrix& fm, const RedundantCrossbarSpec& spares);
+
 /// Two-level dims from the (I, O, P) statistics.
 CrossbarDims twoLevelDims(std::size_t nin, std::size_t nout, std::size_t products);
 /// Two-level dims of a cover.

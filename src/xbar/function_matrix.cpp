@@ -1,5 +1,7 @@
 #include "xbar/function_matrix.hpp"
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace mcx {
@@ -41,18 +43,67 @@ double FunctionMatrix::inclusionRatio() const {
   return mcx::inclusionRatio(usedSwitches(), dims());
 }
 
-FunctionMatrix FunctionMatrix::withInputPermutation(const std::vector<std::size_t>& perm) const {
-  MCX_REQUIRE(perm.size() == nin_, "withInputPermutation: bad permutation size");
-  FunctionMatrix r(nin_, nout_, products_, conns_);
+FunctionMatrix::PairColumns FunctionMatrix::inputPairColumns(const RedundantCrossbarSpec& spares,
+                                                             std::size_t p) const {
+  const std::size_t pairs = nin_ + spares.spareInputPairs;
+  MCX_REQUIRE(p < pairs, "FunctionMatrix: bad input pair");
+  return {p, pairs + p};
+}
+
+FunctionMatrix::PairColumns FunctionMatrix::outputPairColumns(const RedundantCrossbarSpec& spares,
+                                                              std::size_t q) const {
+  MCX_REQUIRE(q < nout_ + spares.spareOutputPairs, "FunctionMatrix: bad output pair");
+  const std::size_t spareBase = 2 * (nin_ + spares.spareInputPairs) + conns_;
+  if (q >= nout_) return {spareBase + 2 * (q - nout_), spareBase + 2 * (q - nout_) + 1};
+  const std::size_t outBase = spareBase + 2 * spares.spareOutputPairs;
+  return {outBase + q, outBase + nout_ + q};
+}
+
+namespace {
+
+/// Empty (each on its own pair), or @p need distinct pairs below @p available.
+bool validPairs(const std::vector<std::size_t>& pairs, std::size_t need,
+                std::size_t available) {
+  if (pairs.empty()) return true;
+  if (pairs.size() != need) return false;
+  std::vector<char> used(available, 0);
+  for (const std::size_t p : pairs) {
+    if (p >= available || used[p] != 0) return false;
+    used[p] = 1;
+  }
+  return true;
+}
+
+}  // namespace
+
+FunctionMatrix FunctionMatrix::embedded(const RedundantCrossbarSpec& spares,
+                                        const std::vector<std::size_t>& inputPairs,
+                                        const std::vector<std::size_t>& outputPairs) const {
+  MCX_REQUIRE(validPairs(inputPairs, nin_, nin_ + spares.spareInputPairs) &&
+                  validPairs(outputPairs, nout_, nout_ + spares.spareOutputPairs),
+              "FunctionMatrix::embedded: bad pair choice");
+  FunctionMatrix r(nin_ + spares.spareInputPairs, nout_, products_,
+                   conns_ + 2 * spares.spareOutputPairs);
   for (std::size_t row = 0; row < rows(); ++row) {
     for (std::size_t v = 0; v < nin_; ++v) {
-      if (bits_.test(row, colOfPosLiteral(v))) r.bits_.set(row, r.colOfPosLiteral(perm[v]));
-      if (bits_.test(row, colOfNegLiteral(v))) r.bits_.set(row, r.colOfNegLiteral(perm[v]));
+      const PairColumns to = inputPairColumns(spares, inputPairs.empty() ? v : inputPairs[v]);
+      if (bits_.test(row, colOfPosLiteral(v))) r.bits_.set(row, to.first);
+      if (bits_.test(row, colOfNegLiteral(v))) r.bits_.set(row, to.second);
     }
-    for (std::size_t c = 2 * nin_; c < cols(); ++c)
-      if (bits_.test(row, c)) r.bits_.set(row, c);
+    for (std::size_t c = 0; c < conns_; ++c)
+      if (bits_.test(row, colOfConnection(c))) r.bits_.set(row, r.colOfConnection(c));
+    for (std::size_t o = 0; o < nout_; ++o) {
+      const PairColumns to = outputPairColumns(spares, outputPairs.empty() ? o : outputPairs[o]);
+      if (bits_.test(row, colOfOutput(o))) r.bits_.set(row, to.first);
+      if (bits_.test(row, colOfOutputBar(o))) r.bits_.set(row, to.second);
+    }
   }
   return r;
+}
+
+FunctionMatrix FunctionMatrix::withInputPermutation(const std::vector<std::size_t>& perm) const {
+  MCX_REQUIRE(perm.size() == nin_, "withInputPermutation: bad permutation size");
+  return embedded({}, perm);
 }
 
 FunctionMatrix buildFunctionMatrix(const Cover& cover) {

@@ -53,8 +53,31 @@ public:
   std::size_t usedSwitches() const { return bits_.count(); }
   double inclusionRatio() const;
 
+  /// The two columns of a physical line pair: (x, !x) or (O, !O).
+  struct PairColumns {
+    std::size_t first = 0;
+    std::size_t second = 0;
+  };
+
+  /// Columns of physical input pair @p p and output pair @p q on the
+  /// redundant crossbar redundantDims(*this, spares), laid out as
+  /// FunctionMatrix(nin + spare input pairs, nout, products, connections +
+  /// 2 * spare output pairs): output pair q < nout is output q's own pair,
+  /// spare output pair nout + k the adjacent columns (2k, 2k + 1) after the
+  /// connection columns. With no spare pairs: this FM's own layout.
+  PairColumns inputPairColumns(const RedundantCrossbarSpec& spares, std::size_t p) const;
+  PairColumns outputPairColumns(const RedundantCrossbarSpec& spares, std::size_t q) const;
+
+  /// This FM placed on that crossbar: variable v on input pair
+  /// inputPairs[v], output o on output pair outputPairs[o] (empty = each on
+  /// its own pair; otherwise distinct, in-range pairs). Rows are unchanged,
+  /// so a row mapper runs on the result against the wide CM directly.
+  FunctionMatrix embedded(const RedundantCrossbarSpec& spares,
+                          const std::vector<std::size_t>& inputPairs,
+                          const std::vector<std::size_t>& outputPairs = {}) const;
+
   /// Permute the input variables: variable v uses the column pair of
-  /// position perm[v]. Used by the column-permutation mapper extension.
+  /// position perm[v] (embedded with no spares).
   FunctionMatrix withInputPermutation(const std::vector<std::size_t>& perm) const;
 
 private:

@@ -87,6 +87,13 @@ TEST(VerifyMapping, HonorsInputPermutation) {
   MappingResult permuted = direct;
   permuted.inputPermutation = {1, 0};  // route x1 through pair 1
   EXPECT_TRUE(verifyMapping(fm, cm, permuted));
+
+  // A malformed pair choice is a rejected claim, not an exception.
+  MappingResult shared = direct;
+  shared.inputPermutation = {1, 1};
+  EXPECT_FALSE(verifyMapping(fm, cm, shared));
+  shared.inputPermutation = {0, 2};
+  EXPECT_FALSE(verifyMapping(fm, cm, shared));
 }
 
 TEST(CandidateAdjacency, AgreesWithRowMatches) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "logic/sop_parser.hpp"
+#include "map/column_permutation_mapper.hpp"
 #include "map/exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "mc/executor.hpp"
@@ -68,10 +69,27 @@ TEST(DefectExperiment, SpareRowsImproveSuccess) {
   base.samples = 60;
   base.model = std::make_shared<IidBernoulli>(0.25);
   DefectExperimentConfig spare = base;
-  spare.spareRows = 3;
+  spare.spares.spareRows = 3;
   const auto without = runDefectExperiment(testFm(), HybridMapper(), base);
   const auto with = runDefectExperiment(testFm(), HybridMapper(), spare);
   EXPECT_GE(with.successes, without.successes);
+}
+
+TEST(DefectExperiment, SparePairsNeedColumnAssignmentMapper) {
+  // Spare pairs widen every sampled crossbar: a row-only mapper rejects the
+  // wide CM; colperm turns the spares into yield under stuck-closed
+  // defects (fatal on the optimum-size crossbar), every success verified.
+  DefectExperimentConfig cfg;
+  cfg.samples = 80;
+  cfg.model = std::make_shared<IidBernoulli>(0.05, 0.01);
+  const ColumnPermutationMapper colperm;
+  const std::size_t optimum = runDefectExperiment(testFm(), colperm, cfg).successes;
+  cfg.spares = {2, 2, 1};
+  EXPECT_THROW(runDefectExperiment(testFm(), HybridMapper(), cfg), InvalidArgument);
+  const std::size_t redundant = runDefectExperiment(testFm(), colperm, cfg).successes;
+  EXPECT_GT(redundant, optimum);
+  cfg.threads = 1;
+  EXPECT_EQ(runDefectExperiment(testFm(), colperm, cfg).successes, redundant);
 }
 
 TEST(DefectExperiment, TimingIsPopulatedWhenOptedIn) {

@@ -111,7 +111,7 @@ TEST(YieldModel, CrossChecksMonteCarloUnderIidBernoulli) {
     DefectExperimentConfig cfg;
     cfg.samples = 400;
     cfg.seed = 0xc05c;
-    cfg.spareRows = point.spares;
+    cfg.spares.spareRows = point.spares;
     cfg.model = std::make_shared<IidBernoulli>(point.q, 0.0);
     const double mc = runDefectExperiment(fm, ExactMapper(), cfg).successRate();
     const double model = estimateYield(fm, point.q, point.spares).successProbability;

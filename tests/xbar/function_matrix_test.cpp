@@ -95,6 +95,24 @@ TEST(FunctionMatrix, InputPermutationValidation) {
   const Cover c = parseSop("x1 x2");
   const FunctionMatrix fm = buildFunctionMatrix(c);
   EXPECT_THROW(fm.withInputPermutation({0}), InvalidArgument);
+  EXPECT_THROW(fm.withInputPermutation({1, 1}), InvalidArgument);
+}
+
+TEST(FunctionMatrix, EmbeddingFollowsTheRedundantLayout) {
+  const FunctionMatrix fm = buildFunctionMatrix(fig8Cover());
+  const RedundantCrossbarSpec spares{0, 1, 2};
+  // x1 on the spare input pair 3, O1 on spare output pair 3, O2 on pair 0.
+  const FunctionMatrix em = fm.embedded(spares, {3, 1, 2}, {3, 0});
+  EXPECT_EQ(em.dims(), redundantDims(fm, spares));
+  EXPECT_EQ(em.usedSwitches(), fm.usedSwitches());
+  EXPECT_TRUE(em.bits().test(0, fm.inputPairColumns(spares, 3).first));  // m1 = x1 x2 -> O1
+  EXPECT_TRUE(em.bits().test(0, fm.outputPairColumns(spares, 3).first));
+  EXPECT_TRUE(em.bits().test(fm.rowOfOutput(1), fm.outputPairColumns(spares, 0).second));
+  // Spare output pairs sit side by side right after the connection columns.
+  EXPECT_EQ(fm.outputPairColumns(spares, 3).second, 2 * (fm.nin() + 1) + 3);
+  EXPECT_EQ(fm.embedded({}, {}).bits(), fm.bits());
+  EXPECT_THROW(fm.embedded(spares, {0, 1, 4}), InvalidArgument);
+  EXPECT_THROW(fm.embedded(spares, {0, 1, 2}, {0, 0}), InvalidArgument);
 }
 
 TEST(FunctionMatrix, ColumnAccessorsValidateRange) {
