@@ -60,13 +60,7 @@ int runFig6(const std::vector<std::string>& args) {
     const char* env = std::getenv("MCX_AREA_SCENARIO");
     scenarioArg = (env != nullptr && *env != '\0') ? env : "paper-iid";
   }
-  std::shared_ptr<const DefectModel> scenario;
-  try {
-    scenario = makeScenario(scenarioArg, rate);
-  } catch (const std::exception& e) {
-    std::cerr << "mcx_bench fig6: " << e.what() << "\n";
-    return 2;
-  }
+  const std::shared_ptr<const DefectModel> scenario = makeScenario(scenarioArg, rate);
   std::cout << "Figure 6: two-level vs multi-level area cost, random functions, "
             << samples << " samples per input size\n";
   std::cout << "paper reference success rates: I=8: 65%, I=9: 60%, I=10: 54%, I=15: 33%\n";

@@ -1,11 +1,11 @@
 // Declarative defect-scenario sweep: model x rate-grid x crossbar size
 // through the parallel Monte Carlo engine.
 //
-// Every cell of the sweep runs runDefectExperiment twice (1 and 2 worker
-// threads) and asserts bit-identical outcomes — the engine's determinism
+// One BENCH grid with the HBA mapper: every cell runs the threads sweep
+// (1/2/4/hw) and asserts bit-identical outcomes — the engine's determinism
 // contract must hold for every DefectModel, not just the paper's i.i.d.
 // world. Results are emitted as machine-readable JSON (MCX_BENCH_JSON,
-// default BENCH_scenarios.json). Each record also carries the analytic
+// default BENCH_scenarios.json). Each cell also carries the analytic
 // i.i.d. yield estimate (src/mc/yield_model.hpp) at the cell's rate: it
 // tracks the Monte Carlo result under paper-iid and visibly diverges under
 // the correlated models (clustering concentrates damage on few rows, line
@@ -25,20 +25,15 @@
 // src/scenario/registry.hpp for the spec grammar). Env knobs MCX_SAMPLES
 // and MCX_BENCH_JSON apply when the flags are absent.
 #include <cmath>
-#include <fstream>
 #include <iostream>
-#include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/driver.hpp"
-#include "circuit/cache.hpp"
-#include "circuit/registry.hpp"
-#include "defect_sweep.hpp"
-#include "map/hybrid_mapper.hpp"
+#include "grid.hpp"
 #include "mc/yield_model.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/spec.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/text_table.hpp"
@@ -47,35 +42,12 @@ namespace {
 
 using namespace mcx;
 
-struct ScenarioEntry {
-  std::string label;
-  std::shared_ptr<const DefectModel> fixed;  ///< null = rate-scalable preset
-  const ScenarioPreset* preset = nullptr;
-
-  std::shared_ptr<const DefectModel> at(double rate) const {
-    return fixed ? fixed : preset->make(rate);
-  }
-};
-
-struct Sweep {
-  std::vector<ScenarioEntry> scenarios;
-  std::vector<double> rates;
-  std::vector<std::string> circuits{"rd53", "misex1"};
-  std::size_t samples = envSizeT("MCX_SAMPLES", 60);
-  std::uint64_t seed = 0x5ce7a210;
-};
-
-ScenarioEntry entryFromName(const std::string& name) {
-  ScenarioEntry entry;
-  entry.label = name;
-  const ScenarioPreset* preset = findScenarioPreset(name);
-  if (preset != nullptr) {
-    entry.preset = preset;
-  } else {
-    entry.fixed = makeScenario(name);  // JSON spec, or throws with the preset list
-    entry.label = entry.fixed->describe();
-  }
-  return entry;
+/// A scenario declaration as the grid runs it: a preset name walks the
+/// rate axis; anything else must be a JSON model spec (validated here,
+/// throwing with the preset list).
+std::string scenarioDecl(const std::string& name) {
+  if (findScenarioPreset(name) == nullptr) static_cast<void>(makeScenario(name));
+  return name;
 }
 
 /// Comma-split that respects JSON nesting and string quoting: commas
@@ -108,7 +80,7 @@ std::vector<std::string> splitList(const std::string& csv) {
   return out;
 }
 
-void applySweepSpec(Sweep& sweep, const std::string& text) {
+void applySweepSpec(bench::Grid& grid, const std::string& text) {
   const SpecValue spec = parseSpec(text);
   MCX_REQUIRE(spec.isObject(), "--sweep: expected a JSON object");
   for (const auto& [key, value] : spec.members)
@@ -117,149 +89,52 @@ void applySweepSpec(Sweep& sweep, const std::string& text) {
                 "--sweep: unknown member \"" + key + "\"");
   if (const SpecValue* scenarios = spec.find("scenarios")) {
     MCX_REQUIRE(scenarios->isArray(), "--sweep: \"scenarios\" must be an array");
-    sweep.scenarios.clear();
+    grid.scenarios.clear();
     for (const SpecValue& s : scenarios->array) {
       if (s.kind == SpecValue::Kind::String) {
-        sweep.scenarios.push_back(entryFromName(s.string));
+        grid.scenarios.push_back(scenarioDecl(s.string));
       } else {
-        ScenarioEntry entry;
-        entry.fixed = modelFromSpec(s);
-        entry.label = entry.fixed->describe();
-        sweep.scenarios.push_back(std::move(entry));
+        static_cast<void>(modelFromSpec(s));
+        grid.scenarios.push_back(specText(s));
       }
     }
   }
   if (const SpecValue* rates = spec.find("rates")) {
     MCX_REQUIRE(rates->isArray(), "--sweep: \"rates\" must be an array");
-    sweep.rates.clear();
+    grid.rates.clear();
     for (const SpecValue& r : rates->array) {
       MCX_REQUIRE(r.kind == SpecValue::Kind::Number,
                   "--sweep: \"rates\" entries must be numbers");
-      sweep.rates.push_back(r.number);
+      grid.rates.push_back(r.number);
     }
   }
   if (const SpecValue* circuits = spec.find("circuits")) {
     MCX_REQUIRE(circuits->isArray(), "--sweep: \"circuits\" must be an array");
-    sweep.circuits.clear();
+    grid.circuits.clear();
     for (const SpecValue& c : circuits->array) {
       MCX_REQUIRE(c.kind == SpecValue::Kind::String,
                   "--sweep: \"circuits\" entries must be strings");
-      sweep.circuits.push_back(c.string);
+      grid.circuits.push_back(c.string);
     }
   }
   // Validate before the unsigned casts: a negative count would be undefined
   // behaviour, and a seed above 2^53 would silently round through double.
-  const double samples = spec.numberOr("samples", static_cast<double>(sweep.samples));
+  const double samples = spec.numberOr("samples", static_cast<double>(grid.samples));
   MCX_REQUIRE(samples >= 0.0 && samples <= 1e9, "--sweep: \"samples\" out of range");
-  sweep.samples = static_cast<std::size_t>(samples);
-  const double seed = spec.numberOr("seed", static_cast<double>(sweep.seed));
+  grid.samples = static_cast<std::size_t>(samples);
+  const double seed = spec.numberOr("seed", static_cast<double>(grid.seed));
   MCX_REQUIRE(seed >= 0.0 && seed <= 9007199254740992.0,  // 2^53
               "--sweep: \"seed\" must be an integer below 2^53");
-  sweep.seed = static_cast<std::uint64_t>(seed);
-}
-
-/// Execute the sweep; returns the process exit code (0 = deterministic).
-int runSweep(const Sweep& sweep, const std::string& jsonPath) {
-  // Buffer the JSON and write the file only once the sweep has finished:
-  // a mid-sweep error must not clobber a previously committed
-  // BENCH_scenarios.json with a truncated document.
-  std::ostringstream jsonBuffer;
-  JsonWriter json(jsonBuffer);
-  json.beginObject();
-  json.field("bench", "scenario_runner");
-  json.field("samples", sweep.samples);
-  json.field("seed", sweep.seed);
-  json.field("hardware_concurrency", resolveThreadCount(0));
-  json.key("runs").beginArray();
-
-  const HybridMapper mapper;
-  TextTable table({"circuit", "scenario", "rate", "Psucc", "analytic iid", "mean ms", "det"});
-  bool allDeterministic = true;
-
-  for (const std::string& name : sweep.circuits) {
-    // Circuit declarations through the memoized pipeline: a bare registry
-    // name compiles its source cover with synth=none (the committed
-    // BENCH_scenarios counts pin it), and any file:/pla:/sop:/gen:/JSON
-    // spec sweeps too.
-    const std::shared_ptr<const Circuit> circuit = compileCircuit(name);
-    const FunctionMatrix& fm = circuit->fm;
-    for (const ScenarioEntry& scenario : sweep.scenarios) {
-      // A fixed (JSON-spec) entry carries its own parameters: running it
-      // once per grid rate would duplicate identical experiments under
-      // misleading rate labels. NaN marks the rate axis as not applicable
-      // (the JSON writer emits it as null).
-      const std::vector<double> rateAxis =
-          scenario.fixed ? std::vector<double>{std::numeric_limits<double>::quiet_NaN()}
-                         : sweep.rates;
-      for (const double rate : rateAxis) {
-        DefectExperimentConfig cfg;
-        cfg.samples = sweep.samples;
-        cfg.seed = sweep.seed;
-        cfg.model = scenario.at(rate);
-        cfg.keepMappings = true;
-
-        cfg.threads = 1;
-        const DefectExperimentResult reference = runDefectExperiment(fm, mapper, cfg);
-        cfg.threads = 2;
-        const DefectExperimentResult rerun = runDefectExperiment(fm, mapper, cfg);
-
-        bool deterministic = reference.successes == rerun.successes;
-        for (std::size_t s = 0; deterministic && s < reference.mappings.size(); ++s)
-          deterministic =
-              reference.mappings[s].rowAssignment == rerun.mappings[s].rowAssignment;
-        allDeterministic = allDeterministic && deterministic;
-
-        const double analytic =
-            std::isnan(rate) ? rate : estimateYield(fm, rate).successProbability;
-
-        json.beginObject();
-        json.field("circuit", name);
-        json.field("scenario", scenario.label);
-        json.field("model", cfg.model->describe());
-        json.field("rate", rate);
-        json.field("area", fm.dims().area());
-        json.field("successes", reference.successes);
-        json.field("success_rate", reference.successRate());
-        json.field("analytic_iid_estimate", analytic);
-        // Wall time per sample (sampling + mapping + verify): the sweep
-        // runs with per-sample timing off, sparing two clock reads per
-        // sample on the hot path.
-        json.field("mean_sample_millis", reference.meanSeconds() * 1e3);
-        json.field("deterministic_across_threads", deterministic);
-        json.endObject();
-
-        table.addRow({name, scenario.label,
-                      std::isnan(rate) ? std::string("-") : TextTable::percent(rate),
-                      TextTable::percent(reference.successRate()),
-                      std::isnan(rate) ? std::string("-") : TextTable::percent(analytic),
-                      TextTable::num(reference.meanSeconds() * 1e3, 3),
-                      deterministic ? "yes" : "NO"});
-      }
-    }
-  }
-  json.endArray();
-  json.field("all_deterministic", allDeterministic);
-  json.endObject();
-
-  std::ofstream jsonFile(jsonPath);
-  jsonFile << jsonBuffer.str() << "\n";
-  jsonFile.flush();
-  if (!jsonFile) {
-    std::cerr << "scenario_runner: cannot write " << jsonPath << "\n";
-    return 2;
-  }
-
-  std::cout << table << "\n";
-  std::cout << "analytic iid = closed-form estimate assuming independent defects: it\n"
-               "tracks Psucc under paper-iid and diverges under clustered/lines/gradient\n"
-               "(correlated damage breaks the independence assumption).\n";
-  std::cout << "deterministic across 1/2 threads for every cell: "
-            << (allDeterministic ? "yes" : "NO") << "; JSON written to " << jsonPath << "\n";
-  return allDeterministic ? 0 : 1;
+  grid.seed = static_cast<std::uint64_t>(seed);
 }
 
 int runScenarios(const std::vector<std::string>& args) {
-  Sweep sweep;
+  bench::Grid grid;
+  grid.bench = "scenario_runner";
+  grid.circuits = {"rd53", "misex1"};
+  grid.mappers = {"hba"};
+  grid.samples = envSizeT("MCX_SAMPLES", 60);
+  grid.seed = 0x5ce7a210;
   bench::CommonOptions common;
 
   cli::ArgParser parser("mcx_bench scenarios",
@@ -268,56 +143,74 @@ int runScenarios(const std::vector<std::string>& args) {
   common.addSeedTo(parser);
   common.addJsonTo(parser);
   parser.addCallback("--scenarios", "a,b,...", "preset names / JSON specs to sweep",
-                     [&sweep](const std::string& value) {
-                       sweep.scenarios.clear();
+                     [&grid](const std::string& value) {
+                       grid.scenarios.clear();
                        for (const std::string& name : splitList(value))
-                         sweep.scenarios.push_back(entryFromName(name));
+                         grid.scenarios.push_back(scenarioDecl(name));
                      });
   parser.addCallback("--rates", "r1,r2,...", "defect-rate grid",
-                     [&sweep](const std::string& value) {
-                       sweep.rates.clear();
+                     [&grid](const std::string& value) {
+                       grid.rates.clear();
                        for (const std::string& r : splitList(value)) {
                          double rate{};
                          const auto [end, ec] =
                              std::from_chars(r.data(), r.data() + r.size(), rate);
                          MCX_REQUIRE(ec == std::errc() && end == r.data() + r.size(),
                                      "--rates: bad value \"" + r + "\"");
-                         sweep.rates.push_back(rate);
+                         grid.rates.push_back(rate);
                        }
                      });
   parser.addCallback("--circuits", "c1,c2,...",
                      "circuit declarations to sweep (presets or file:/pla:/sop:/gen: specs)",
-                     [&sweep](const std::string& value) { sweep.circuits = splitList(value); });
+                     [&grid](const std::string& value) { grid.circuits = splitList(value); });
   parser.addCallback("--spec", "JSON", "add one inline scenario spec to the sweep",
-                     [&sweep](const std::string& value) {
-                       sweep.scenarios.push_back(entryFromName(value));
+                     [&grid](const std::string& value) {
+                       grid.scenarios.push_back(scenarioDecl(value));
                      });
   parser.addCallback("--sweep", "JSON", "whole sweep as one JSON document",
-                     [&sweep](const std::string& value) { applySweepSpec(sweep, value); });
+                     [&grid](const std::string& value) { applySweepSpec(grid, value); });
   parser.addAction("--list", "list the scenario presets", bench::listScenarios);
   if (const auto code = bench::parseSuiteArgs(parser, args)) return *code;
 
-  // Explicit flags beat --sweep members beat the env/default (the Sweep
+  // Explicit flags beat --sweep members beat the env/default (the grid
   // initializer already folded MCX_SAMPLES in, so only a real flag wins).
-  if (common.samples.has_value()) sweep.samples = *common.samples;
-  if (common.seed.has_value()) sweep.seed = *common.seed;
-  const std::string jsonPath = common.jsonOr("BENCH_scenarios.json");
+  if (common.samples.has_value()) grid.samples = *common.samples;
+  if (common.seed.has_value()) grid.seed = *common.seed;
+  grid.json = common.jsonOr("BENCH_scenarios.json");
 
-  if (sweep.scenarios.empty())
-    for (const ScenarioPreset& preset : scenarioPresets())
-      sweep.scenarios.push_back(entryFromName(preset.name));
-  if (sweep.rates.empty()) sweep.rates = standardRateGrid();
+  if (grid.scenarios.empty())
+    for (const ScenarioPreset& preset : scenarioPresets()) grid.scenarios.push_back(preset.name);
+  if (grid.rates.empty()) grid.rates = standardRateGrid();
 
-  std::cout << "scenario sweep: " << sweep.scenarios.size() << " models x "
-            << sweep.rates.size() << " rates x " << sweep.circuits.size() << " circuits, "
-            << sweep.samples << " samples per cell (seed " << sweep.seed << ")\n\n";
+  std::cout << "scenario sweep: " << grid.scenarios.size() << " models x "
+            << grid.rates.size() << " rates x " << grid.circuits.size() << " circuits, "
+            << grid.samples << " samples per cell (seed " << grid.seed << ")\n\n";
 
-  try {
-    return runSweep(sweep, jsonPath);
-  } catch (const std::exception& e) {  // unknown circuit, out-of-range preset rate, ...
-    std::cerr << "mcx_bench scenarios: " << e.what() << "\n";
-    return 2;
+  std::vector<bench::Cell> cells = bench::runGrid(grid);
+  TextTable table({"circuit", "scenario", "rate", "Psucc", "analytic iid", "mean ms", "det"});
+  for (bench::Cell& cell : cells) {
+    // A fixed (JSON-spec) scenario has no rate: no analytic estimate either.
+    const bool fixed = !cell.rate.has_value();
+    const double analytic =
+        fixed ? std::nan("") : estimateYield(cell.circuit->fm, *cell.rate).successProbability;
+    cell.columns = {{"analytic_iid_estimate", analytic}};
+    table.addRow({cell.circuitDecl, fixed ? cell.result.scenario : cell.scenario,
+                  fixed ? std::string("-") : TextTable::percent(*cell.rate),
+                  TextTable::percent(cell.result.successRate()),
+                  fixed ? std::string("-") : TextTable::percent(analytic),
+                  TextTable::num(cell.result.meanSeconds() * 1e3, 3),
+                  cell.deterministic ? "yes" : "NO"});
   }
+  bench::writeGridJson(grid, cells);
+
+  const bool deterministic = bench::allDeterministic(cells);
+  std::cout << table << "\n";
+  std::cout << "analytic iid = closed-form estimate assuming independent defects: it\n"
+               "tracks Psucc under paper-iid and diverges under clustered/lines/gradient\n"
+               "(correlated damage breaks the independence assumption).\n";
+  std::cout << "deterministic across the threads sweep for every cell: "
+            << (deterministic ? "yes" : "NO") << "; JSON written to " << *grid.json << "\n";
+  return deterministic ? 0 : 1;
 }
 
 }  // namespace

@@ -8,23 +8,19 @@
 //
 // --scenario takes a registry preset name (see --list) or an inline JSON
 // spec; --rate sets the preset's overall defect budget. Each budget is one
-// engine run (runDefectExperiment with DefectExperimentConfig::spares) of
-// the colperm mapper on --threads workers; per-sample RNG streams make the
-// results independent of the thread count.
+// grid cell on the spares axis, run by the colperm mapper on --threads
+// workers; per-sample RNG streams make the results independent of the
+// thread count.
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/driver.hpp"
-#include "circuit/cache.hpp"
-#include "map/registry.hpp"
-#include "mc/defect_experiment.hpp"
+#include "grid.hpp"
 #include "mc/executor.hpp"
 #include "mc/stats.hpp"
-#include "scenario/registry.hpp"
+#include "scenario/spec.hpp"
 #include "util/text_table.hpp"
-#include "xbar/function_matrix.hpp"
 
 namespace {
 
@@ -49,41 +45,35 @@ int runYieldExplorer(const std::vector<std::string>& args) {
   parser.addAction("--list", "list the scenario presets", bench::listScenarios);
   if (const auto code = bench::parseSuiteArgs(parser, args)) return *code;
 
-  const std::size_t samples = common.samplesOr(100);
-  const std::uint64_t seed = common.seedOr(97);
-  const std::size_t threads = common.threadsOr(0);
+  bench::Grid grid;
+  grid.circuits = {circuit};
+  grid.scenarios = {scenarioArg.empty() ? R"({"model": "iid", "open": )" +
+                                              specText(rate * 10.0 / 11.0) +
+                                              R"(, "closed": )" + specText(rate / 11.0) + "}"
+                                        : scenarioArg};
+  grid.rates = {rate};
+  grid.spares.clear();
+  for (const std::size_t spare : {0u, 1u, 2u, 4u, 8u})
+    grid.spares.push_back({spare, spare / 2, spare / 2});
+  grid.mappers = {"colperm"};
+  grid.samples = common.samplesOr(100);
+  grid.seed = common.seedOr(97);
+  grid.threads = common.threadsOr(0);
+  const std::vector<bench::Cell> cells = bench::runGrid(grid);
 
-  std::shared_ptr<const DefectModel> model;
-  std::shared_ptr<const Circuit> compiled;
-  try {
-    model = scenarioArg.empty()
-                ? std::make_shared<IidBernoulli>(rate * 10.0 / 11.0, rate / 11.0)
-                : makeScenario(scenarioArg, rate);
-    compiled = compileCircuit(circuit);
-  } catch (const std::exception& e) {  // unknown scenario/circuit, bad rate
-    std::cerr << "mcx_bench yield: " << e.what() << "\n";
-    return 2;
-  }
-  const FunctionMatrix& fm = compiled->fm;
-  std::cout << "circuit: " << compiled->label << "  (" << fm.rows() << "x" << fm.cols()
-            << " optimum crossbar, " << samples << " Monte Carlo samples per cell)\n";
-  std::cout << "scenario: " << model->describe() << "  (seed " << seed << ", "
-            << resolveThreadCount(threads) << " threads)\n\n";
+  const FunctionMatrix& fm = cells.front().circuit->fm;
+  std::cout << "circuit: " << cells.front().circuit->label << "  (" << fm.rows() << "x"
+            << fm.cols() << " optimum crossbar, " << grid.samples
+            << " Monte Carlo samples per cell)\n";
+  std::cout << "scenario: " << cells.front().result.scenario << "  (seed " << grid.seed << ", "
+            << resolveThreadCount(grid.threads) << " threads)\n\n";
 
   TextTable table({"spare rows", "spare in-pairs", "spare out-pairs", "success rate"});
-  const std::shared_ptr<const IMapper> mapper = makeMapper("colperm");
-  for (const std::size_t spare : {0u, 1u, 2u, 4u, 8u}) {
-    DefectExperimentConfig cfg;
-    cfg.samples = samples;
-    cfg.spares.spareRows = spare;
-    cfg.spares.spareInputPairs = spare / 2;
-    cfg.spares.spareOutputPairs = spare / 2;
-    cfg.model = model;
-    cfg.seed = seed + spare;
-    cfg.threads = threads;
-    const DefectExperimentResult r = runDefectExperiment(fm, *mapper, cfg);
-    table.addRow({std::to_string(spare), std::to_string(cfg.spares.spareInputPairs),
-                  std::to_string(cfg.spares.spareOutputPairs),
+  for (const bench::Cell& cell : cells) {
+    const DefectExperimentResult& r = cell.result.outcome;
+    table.addRow({std::to_string(cell.spares.spareRows),
+                  std::to_string(cell.spares.spareInputPairs),
+                  std::to_string(cell.spares.spareOutputPairs),
                   TextTable::percent(r.successRate()) + " +/- " +
                       TextTable::percent(wilsonHalfWidth(r.successes, r.completed), 1)});
   }

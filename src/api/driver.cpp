@@ -140,7 +140,12 @@ int Driver::run(const std::vector<std::string>& args, std::ostream& out,
     listSuites(err);
     return 2;
   }
-  return suite->run(std::vector<std::string>(args.begin() + 1, args.end()));
+  try {
+    return suite->run(std::vector<std::string>(args.begin() + 1, args.end()));
+  } catch (const std::exception& e) {  // unknown circuit, failed compile, unwritable JSON, ...
+    err << "mcx_bench " << suite->name << ": " << e.what() << "\n";
+    return 2;
+  }
 }
 
 int Driver::run(int argc, char** argv, std::ostream& out, std::ostream& err) const {

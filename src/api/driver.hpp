@@ -65,7 +65,9 @@ public:
 
   /// Dispatch `mcx_bench` argv (args excludes the program name): the
   /// listing/help flags, then the named suite. Listings and help go to
-  /// @p out, usage errors to @p err. Returns the process exit code.
+  /// @p out, usage errors to @p err. A std::exception escaping the suite is
+  /// reported to @p err as "mcx_bench <suite>: <what>" with exit code 2.
+  /// Returns the process exit code.
   int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) const;
   int run(int argc, char** argv, std::ostream& out, std::ostream& err) const;
 
@@ -98,9 +100,10 @@ std::optional<int> parseSuiteArgs(cli::ArgParser& parser, const std::vector<std:
 
 }  // namespace mcx::bench
 
-/// Register a suite: MCX_BENCH_SUITE(table2, "Table II reproduction") with
-/// `int runTable2(const std::vector<std::string>& args)` in scope expands to
-/// a static registrar. The identifier doubles as the suite name with
-/// underscores turned into dashes by the caller spelling it out instead.
+/// Register a suite: MCX_BENCH_SUITE("table2", "Table II reproduction",
+/// runTable2) with `int runTable2(const std::vector<std::string>& args)` in
+/// scope expands to a file-scope static registrar. The first argument is the
+/// `mcx_bench <name>` key, spelled out as a string (dashes allowed); the
+/// function name only names the registrar variable.
 #define MCX_BENCH_SUITE(name, summary, fn) \
   static const ::mcx::bench::SuiteRegistrar mcxBenchSuiteRegistrar_##fn{name, summary, fn}

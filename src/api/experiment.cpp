@@ -125,8 +125,8 @@ ExperimentBuilder& ExperimentBuilder::threads(std::size_t threads) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::spareRows(std::size_t spares) {
-  config_.spares.spareRows = spares;
+ExperimentBuilder& ExperimentBuilder::spares(const RedundantCrossbarSpec& spares) {
+  config_.spares = spares;
   return *this;
 }
 

@@ -120,7 +120,11 @@ public:
   ExperimentBuilder& samples(std::size_t n);
   ExperimentBuilder& seed(std::uint64_t seed);
   ExperimentBuilder& threads(std::size_t threads);
-  ExperimentBuilder& spareRows(std::size_t spares);
+  /// Spare lines (engine geometry, DefectExperimentConfig::spares); spare
+  /// pairs need the colperm mapper.
+  ExperimentBuilder& spares(const RedundantCrossbarSpec& spares);
+  /// spares({n, 0, 0}), kept for existing callers.
+  ExperimentBuilder& spareRows(std::size_t n) { return spares({n, 0, 0}); }
   ExperimentBuilder& verifyMappings(bool on);
   ExperimentBuilder& timePerSample(bool on);
   ExperimentBuilder& keepMappings(bool on);

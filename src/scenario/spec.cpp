@@ -227,6 +227,47 @@ bool SpecValue::boolOr(const std::string& key, bool fallback) const {
 
 SpecValue parseSpec(const std::string& text) { return Parser(text).parseDocument(); }
 
+std::string specText(double number) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, number);
+  return std::string(buf, end);
+}
+
+std::string specText(const SpecValue& value) {
+  const auto quoted = [](const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {  // the parser's escape set
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        default: out += c;
+      }
+    }
+    return out + "\"";
+  };
+  switch (value.kind) {
+    case SpecValue::Kind::Null: return "null";
+    case SpecValue::Kind::Bool: return value.boolean ? "true" : "false";
+    case SpecValue::Kind::Number: return specText(value.number);
+    case SpecValue::Kind::String: return quoted(value.string);
+    case SpecValue::Kind::Array: {
+      std::string out = "[";
+      for (const SpecValue& item : value.array)
+        out += (out.size() > 1 ? ", " : "") + specText(item);
+      return out + "]";
+    }
+    case SpecValue::Kind::Object: {
+      std::string out = "{";
+      for (const auto& [key, item] : value.members)
+        out += (out.size() > 1 ? ", " : "") + quoted(key) + ": " + specText(item);
+      return out + "}";
+    }
+  }
+  return "null";
+}
+
 void requireOnlyKeys(const SpecValue& spec, const char* context,
                      std::initializer_list<const char*> allowed) {
   for (const auto& [key, value] : spec.members) {

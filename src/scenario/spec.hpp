@@ -45,6 +45,13 @@ struct SpecValue {
 /// input or trailing garbage.
 SpecValue parseSpec(const std::string& text);
 
+/// Compact JSON text of @p value, numbers in shortest round-trip form
+/// (std::to_chars): parseSpec reads it back to the same value, so a
+/// declaration written with it replays exactly.
+std::string specText(const SpecValue& value);
+/// specText of a number.
+std::string specText(double number);
+
 /// Reject members of @p spec not named in @p allowed: a typo'd option would
 /// otherwise be silently dropped and the default would run under the wrong
 /// label (the same rationale as the typed accessors above). Throws

@@ -68,6 +68,14 @@ public:
     return *this;
   }
 
+  /// A value already serialized as JSON text (e.g. specText, whose numbers
+  /// round-trip exactly), written as is.
+  JsonWriter& raw(const std::string& json) {
+    separate();
+    out_ << json;
+    return *this;
+  }
+
   template <typename T>
   JsonWriter& field(const std::string& name, const T& v) {
     key(name);

@@ -5,91 +5,54 @@
 // consumes nothing from the streams of the samples it never reached.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
-#include <sstream>
 
-#include "api/experiment.hpp"
+#include "committed_bench.hpp"
 #include "mc/cancel.hpp"
 #include "mc/executor.hpp"
-#include "scenario/spec.hpp"
-
-#ifndef MCX_REPO_ROOT
-#error "MCX_REPO_ROOT must point at the repository root (set by CMake)"
-#endif
 
 namespace mcx {
 namespace {
 
 TEST(CancelRerunRegression, AbortedRunDoesNotPerturbARerunsCommittedCounts) {
-  std::ifstream file(std::string(MCX_REPO_ROOT) + "/BENCH_defect_mc.json");
-  ASSERT_TRUE(file.good()) << "committed BENCH_defect_mc.json not found";
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const SpecValue doc = parseSpec(buffer.str());
-  const auto samples = static_cast<std::size_t>(doc.numberOr("samples", 0));
-  const double rate = doc.numberOr("stuck_open_rate", 0.0);
+  // The committed rd53/HBA legacy cell: the canonical bit-identity anchor.
+  const SpecValue doc = committed::load("BENCH_defect_mc.json");
+  const SpecValue* cell = committed::find(doc, "rd53-min", "hba", "legacy");
+  ASSERT_NE(cell, nullptr) << "committed rd53/HBA legacy cell missing";
+  const std::size_t committedCount = committed::successes(*cell);
+  const auto samples =
+      static_cast<std::size_t>(committed::declaration(*cell).numberOr("samples", 0));
   ASSERT_GT(samples, 0u);
-
-  // The committed rd53/HBA legacy row: the canonical bit-identity anchor.
-  const SpecValue* circuits = doc.find("circuits");
-  ASSERT_NE(circuits, nullptr);
-  std::size_t committed = 0;
-  bool found = false;
-  for (const SpecValue& circuit : circuits->array) {
-    if (circuit.stringOr("name", "") != "rd53") continue;
-    for (const SpecValue& entry : circuit.find("mappers")->array) {
-      if (entry.stringOr("scenario", "") != "iid (legacy rates)") continue;
-      if (entry.stringOr("mapper", "") != "HBA") continue;
-      committed = static_cast<std::size_t>(
-          entry.find("runs")->array.front().numberOr("successes", -1));
-      found = true;
-    }
-  }
-  ASSERT_TRUE(found) << "committed rd53/HBA legacy row missing";
-
-  const auto declare = [&] {
-    return ExperimentBuilder()
-        .circuit("rd53-min")
-        .multiLevel()
-        .mapper("hba")
-        .legacyRates(rate)
-        .samples(samples)
-        .seed(0x51a)
-        .threads(1);
-  };
 
   // Run 1: cancel after a handful of samples — a genuine mid-run abort.
   auto token = std::make_shared<CancelToken>();
-  std::size_t sofar = 0;
-  ExperimentBuilder aborted = declare();
+  ExperimentBuilder aborted = committed::replay(*cell);
   aborted.cancelToken(token);
   // Cancel from within the run via a pre-cancelled deadline is racy to time;
   // instead run a first pass whose token fires almost immediately.
   token->setDeadlineAfterMillis(0.5);
   const ExperimentResult partial = aborted.run();
-  sofar = partial.outcome.completed;
   if (partial.outcome.aborted) {
     EXPECT_EQ(partial.outcome.abortReason, "deadline_exceeded");
-    EXPECT_LT(sofar, samples);
+    EXPECT_LT(partial.outcome.completed, samples);
   }
   // (On a very fast machine the run may beat the 0.5ms budget; the rerun
   // check below is meaningful either way, and CI boxes abort reliably.)
 
   // Run 2: the rerun, same declaration, no token — must be bit-identical to
   // the committed count, no matter how far run 1 got before aborting.
-  const ExperimentResult rerun = declare().run();
+  const ExperimentResult rerun = committed::replay(*cell).run();
   EXPECT_FALSE(rerun.outcome.aborted);
   EXPECT_EQ(rerun.outcome.completed, samples);
-  EXPECT_EQ(rerun.outcome.successes, committed)
+  EXPECT_EQ(rerun.outcome.successes, committedCount)
       << "a cancelled run perturbed the pre-split RNG streams of a rerun";
 
   // And a third run through a shared persistent pool matches too: pool
   // reuse is not allowed to change the sample-to-stream assignment.
   ExecutorPool pool(2);
-  ExperimentBuilder pooled = declare();
+  ExperimentBuilder pooled = committed::replay(*cell);
   pooled.pool(&pool);
-  EXPECT_EQ(pooled.run().outcome.successes, committed)
+  EXPECT_EQ(pooled.run().outcome.successes, committedCount)
       << "running on a persistent pool changed the committed counts";
 }
 

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "util/error.hpp"
+
 namespace mcx::bench {
 namespace {
 
@@ -79,6 +81,17 @@ TEST(BenchDriver, UnknownFlagFails) {
   std::ostringstream out, err;
   EXPECT_EQ(driver.run({"--list-sweets"}, out, err), 2);
   EXPECT_NE(err.str().find("unknown flag"), std::string::npos);
+}
+
+TEST(BenchDriver, SuiteExceptionIsReportedWithExitTwo) {
+  Driver driver;
+  driver.add({"thrower", "a failing suite", [](const std::vector<std::string>&) -> int {
+                throw InvalidArgument("no such circuit");
+              }});
+  std::ostringstream out, err;
+  EXPECT_EQ(driver.run({"thrower"}, out, err), 2);
+  EXPECT_EQ(err.str(), "mcx_bench thrower: no such circuit\n");
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST(BenchDriver, DuplicateSuiteNameRejected) {

@@ -13,86 +13,36 @@
 // cannot drift silently.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include "api/experiment.hpp"
-#include "scenario/spec.hpp"
-
-#ifndef MCX_REPO_ROOT
-#error "MCX_REPO_ROOT must point at the repository root (set by CMake)"
-#endif
+#include "committed_bench.hpp"
 
 namespace mcx {
 namespace {
 
-SpecValue loadCommittedJson(const std::string& name) {
-  std::ifstream file(std::string(MCX_REPO_ROOT) + "/" + name);
-  EXPECT_TRUE(file.good()) << "committed " << name << " not found";
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parseSpec(buffer.str());
-}
-
-std::string workloadSpec(const std::string& name) {
-  if (name == "rd53") return "rd53-min";
-  if (name == "sqrt8") return "sqrt8-min";
-  if (name == "t481 stand-in") return "t481";
-  if (name == "bw") return "bw";
-  ADD_FAILURE() << "unknown committed workload " << name;
-  return "rd53";
-}
-
 TEST(ApproxTestGradedAnchor, ZeroBudgetReproducesCommittedPassFailCounts) {
-  const SpecValue doc = loadCommittedJson("BENCH_defect_mc.json");
-  ASSERT_TRUE(doc.isObject());
-  const auto samples = static_cast<std::size_t>(doc.numberOr("samples", 0));
-  const double rate = doc.numberOr("stuck_open_rate", 0.0);
-  ASSERT_GT(samples, 0u);
-  ASSERT_GT(rate, 0.0);
-
-  const SpecValue* circuits = doc.find("circuits");
-  ASSERT_NE(circuits, nullptr);
+  const SpecValue doc = committed::load("BENCH_defect_mc.json");
   std::size_t checked = 0;
-  for (const SpecValue& circuit : circuits->array) {
-    const std::string spec = workloadSpec(circuit.stringOr("name", ""));
-    const SpecValue* mappers = circuit.find("mappers");
-    ASSERT_NE(mappers, nullptr);
-    for (const SpecValue& entry : mappers->array) {
-      if (entry.stringOr("scenario", "") != "iid (legacy rates)") continue;
-      const std::string mapperName = entry.stringOr("mapper", "");
-      const std::string preset = mapperName == "HBA"   ? "hba"
-                                 : mapperName == "EA"  ? "ea"
-                                                       : "";
-      ASSERT_FALSE(preset.empty()) << mapperName;
-      const auto committed = static_cast<std::size_t>(
-          entry.find("runs")->array.front().numberOr("successes", -1));
+  for (const SpecValue& cell : committed::cells(doc)) {
+    const SpecValue& decl = committed::declaration(cell);
+    if (decl.stringOr("scenario", "") != "legacy") continue;
+    const std::string label = decl.stringOr("circuit", "") + " / " + decl.stringOr("mapper", "");
+    const std::size_t committedCount = committed::successes(cell);
 
-      const ExperimentResult result = ExperimentBuilder()
-                                          .circuit(spec)
-                                          .multiLevel()
-                                          .mapper(preset)
-                                          .legacyRates(rate)
-                                          .samples(samples)
-                                          .seed(0x51a)
-                                          .threads(1)
-                                          .errorBudget(0.0)
-                                          .run();
-      EXPECT_TRUE(result.graded);
-      EXPECT_EQ(result.outcome.successes, committed)
-          << spec << " / " << preset << ": graded run changed the exact verdict";
-      EXPECT_EQ(result.outcome.epsilonAccepted, committed)
-          << spec << " / " << preset << ": eps=0 acceptance must equal pass/fail";
-      EXPECT_EQ(result.outcome.rescued, 0u) << spec << " / " << preset;
-      ++checked;
-    }
+    const ExperimentResult result = committed::replay(cell).errorBudget(0.0).run();
+    EXPECT_TRUE(result.graded);
+    EXPECT_EQ(result.outcome.successes, committedCount)
+        << label << ": graded run changed the exact verdict";
+    EXPECT_EQ(result.outcome.epsilonAccepted, committedCount)
+        << label << ": eps=0 acceptance must equal pass/fail";
+    EXPECT_EQ(result.outcome.rescued, 0u) << label;
+    ++checked;
   }
   EXPECT_EQ(checked, 8u);
 }
 
 TEST(ApproxTestBenchPin, CommittedApproxJsonInvariantsHold) {
-  const SpecValue doc = loadCommittedJson("BENCH_approx.json");
+  const SpecValue doc = committed::load("BENCH_approx.json");
   ASSERT_TRUE(doc.isObject());
   EXPECT_EQ(doc.stringOr("bench", ""), "ablation-approx");
   EXPECT_EQ(doc.numberOr("yield_zero_mismatches", -1), 0.0);
@@ -122,7 +72,7 @@ TEST(ApproxTestBenchPin, CommittedApproxJsonInvariantsHold) {
 }
 
 TEST(ApproxTestBenchPin, RederivesOneCommittedCellBitExactly) {
-  const SpecValue doc = loadCommittedJson("BENCH_approx.json");
+  const SpecValue doc = committed::load("BENCH_approx.json");
   ASSERT_TRUE(doc.isObject());
   const auto samples = static_cast<std::size_t>(doc.numberOr("samples", 0));
   const auto seed = static_cast<std::uint64_t>(doc.numberOr("seed", 0));

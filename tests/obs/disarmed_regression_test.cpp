@@ -7,79 +7,39 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include "api/experiment.hpp"
+#include "committed_bench.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "scenario/spec.hpp"
-
-#ifndef MCX_REPO_ROOT
-#error "MCX_REPO_ROOT must point at the repository root (set by CMake)"
-#endif
 
 namespace mcx {
 namespace {
 
-/// Committed success count for the rd53 / HBA / legacy-rates row.
-std::size_t committedRd53HbaSuccesses() {
-  std::ifstream file(std::string(MCX_REPO_ROOT) + "/BENCH_defect_mc.json");
-  EXPECT_TRUE(file.good()) << "committed BENCH_defect_mc.json not found";
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const SpecValue doc = parseSpec(buffer.str());
-  const SpecValue* circuits = doc.find("circuits");
-  if (circuits == nullptr) return 0;
-  for (const SpecValue& circuit : circuits->array) {
-    if (circuit.stringOr("name", "") != "rd53") continue;
-    const SpecValue* mappers = circuit.find("mappers");
-    if (mappers == nullptr) return 0;
-    for (const SpecValue& entry : mappers->array) {
-      if (entry.stringOr("mapper", "") != "HBA") continue;
-      if (entry.stringOr("scenario", "") != "iid (legacy rates)") continue;
-      const SpecValue* runs = entry.find("runs");
-      if (runs == nullptr || runs->array.empty()) return 0;
-      return static_cast<std::size_t>(runs->array.front().numberOr("successes", 0));
-    }
-  }
-  return 0;
-}
-
-ExperimentResult runCommittedWorkload() {
-  std::ifstream file(std::string(MCX_REPO_ROOT) + "/BENCH_defect_mc.json");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const SpecValue doc = parseSpec(buffer.str());
-  return ExperimentBuilder()
-      .circuit("rd53-min")
-      .multiLevel()
-      .mapper("hba")
-      .legacyRates(doc.numberOr("stuck_open_rate", 0.0))
-      .samples(static_cast<std::size_t>(doc.numberOr("samples", 0)))
-      .seed(0x51a)
-      .threads(2)  // spans + chunk counters on the pooled path too
-      .run();
-}
-
 TEST(ObsDisarmedRegression, TelemetryNeverPerturbsTheCommittedSuccessCounts) {
-  const std::size_t committed = committedRd53HbaSuccesses();
-  ASSERT_GT(committed, 0u) << "committed regression surface missing";
+  // The committed rd53/HBA legacy cell.
+  const SpecValue doc = committed::load("BENCH_defect_mc.json");
+  const SpecValue* cell = committed::find(doc, "rd53-min", "hba", "legacy");
+  ASSERT_NE(cell, nullptr) << "committed regression surface missing";
+  const std::size_t committedCount = committed::successes(*cell);
+  ASSERT_GT(committedCount, 0u) << "committed regression surface missing";
+  const auto run = [cell] {
+    return committed::replay(*cell).threads(2).run();  // spans + chunk counters pooled too
+  };
 
   // Disarmed (the production default): spans are inert, gated counters off.
   obs::setProfiling(false);
-  EXPECT_EQ(runCommittedWorkload().outcome.successes, committed)
+  EXPECT_EQ(run().outcome.successes, committedCount)
       << "disarmed telemetry changed the MC result";
 
   // Fully armed: trace sink + profiling counters live on the same run.
   const std::string trace = ::testing::TempDir() + "mcx_disarmed_regression.json";
   obs::armTrace(trace);
-  const ExperimentResult armed = runCommittedWorkload();
+  const ExperimentResult armed = run();
   obs::disarmTrace();
   obs::setProfiling(false);
   std::remove(trace.c_str());
-  EXPECT_EQ(armed.outcome.successes, committed)
+  EXPECT_EQ(armed.outcome.successes, committedCount)
       << "armed telemetry changed the MC result";
 }
 
