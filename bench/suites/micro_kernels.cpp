@@ -3,10 +3,11 @@
 // complement, ISOP, espresso, factoring, end-to-end HBA/EA mapping, and the
 // three layers of the Monte Carlo hot path (legacy vs sparse sampling, full
 // vs incremental adjacency, cold vs warm-started Hopcroft-Karp) on the bw
-// multi-level workload at the paper's 10% stuck-open rate, plus the
-// memoized synthesis front-end (full pipeline compile vs cache hit), and
-// the telemetry layer's own overhead (counter adds, histogram records,
-// disarmed vs histogram-fed spans).
+// multi-level workload at the paper's 10% stuck-open rate, the approx
+// mapper's rescue of inner-mapper failures, plus the memoized synthesis
+// front-end (full pipeline compile vs cache hit), and the telemetry layer's
+// own overhead (counter adds, histogram records, disarmed vs histogram-fed
+// spans).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "api/driver.hpp"
+#include "approx/approx_mapper.hpp"
 #include "assign/hopcroft_karp.hpp"
 #include "assign/munkres.hpp"
 #include "circuit/cache.hpp"
@@ -22,11 +24,13 @@
 #include "logic/generators.hpp"
 #include "logic/isop.hpp"
 #include "map/exact_mapper.hpp"
+#include "map/fast_exact_mapper.hpp"
 #include "map/hybrid_mapper.hpp"
 #include "netlist/factor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/defect_model.hpp"
+#include "scenario/registry.hpp"
 #include "xbar/defects.hpp"
 #include "xbar/function_matrix.hpp"
 
@@ -246,6 +250,43 @@ void BM_MapEa(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm));
 }
 BENCHMARK(BM_MapEa);
+
+// --- Approx rescue of inner-mapper failures --------------------------------
+
+// 64 rd53-min samples at 25% stuck-open (the approx workloads' cell, seed 8)
+// on which the exact inner mapper fails, so every ApproxMapper::map call
+// reads one inner failure plus one rescue: matching and realized error.
+struct RescueDeck {
+  std::shared_ptr<const Circuit> rd53;
+  std::vector<BitMatrix> cm;
+};
+
+const RescueDeck& rescueDeck() {
+  static const RescueDeck deck = [] {
+    RescueDeck d{compileCircuit("rd53-min"), {}};
+    const FunctionMatrix& fm = d.rd53->fm;
+    const auto model = makeScenario("paper-iid", 0.25);
+    const FastExactMapper inner;
+    Rng rng(8);
+    DefectMap defects;
+    while (d.cm.size() < 64) {
+      model->generate(fm.rows(), fm.cols(), rng, defects);
+      BitMatrix cm = crossbarMatrix(defects);
+      if (!inner.map(fm, cm).success) d.cm.push_back(std::move(cm));
+    }
+    return d;
+  }();
+  return deck;
+}
+
+void BM_ApproxRescue(benchmark::State& state) {
+  const RescueDeck& deck = rescueDeck();
+  const ApproxMapper mapper(ApproxMapperOptions{0.05});
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(mapper.map(deck.rd53->fm, deck.cm[i++ % deck.cm.size()]));
+}
+BENCHMARK(BM_ApproxRescue);
 
 // --- Memoized synthesis front-end: full pipeline vs cache lookup -----------
 

@@ -1,9 +1,9 @@
 #include "approx/approx_mapper.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
-#include "approx/error.hpp"
 #include "logic/truth_table.hpp"
 #include "map/fast_exact_mapper.hpp"
 #include "util/error.hpp"
@@ -13,9 +13,9 @@ namespace mcx {
 
 namespace {
 
-// Content hash of an FM (dims + bit words), FNV-1a. Collisions only risk
-// serving a stale analysis for a *different* function, so the cache entry
-// also pins the dims and the reconstructed cover is rebuilt on mismatch.
+// Content hash of an FM (dims + bit words), FNV-1a: the analysis cache's
+// bucket key. A hit is confirmed by comparing the FM content itself, so a
+// collision costs a rebuild, never a stale analysis.
 std::uint64_t fmContentHash(const FunctionMatrix& fm) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -51,14 +51,29 @@ Cover coverOfFunctionMatrix(const FunctionMatrix& fm) {
   return cover;
 }
 
+// Per-thread scratch of the rescue's matching and error tally, reused
+// across samples so an augmenting pass allocates nothing.
+struct RescueScratch {
+  std::vector<std::size_t> rowOfCm;  // FM row matched to each CM row
+  std::vector<std::size_t> cmOfRow;  // CM row matched to each FM row
+  std::vector<BitMatrix::Word> unvisited;
+  // DFS frames: (FM row, next CM column to try).
+  std::vector<std::pair<std::size_t, std::size_t>> stack;
+  std::vector<DynBits::Word> realized;  // one output's retained-cube OR
+};
+thread_local RescueScratch rescueScratch;
+
 }  // namespace
 
 struct ApproxMapper::FmAnalysis {
-  std::uint64_t hash = 0;
-  std::size_t rows = 0, cols = 0;
+  // The analyzed FM's content (bits and input count fix the layout).
+  BitMatrix bits;
+  std::size_t nin = 0;
   Cover cover;
   TruthTable specTt;
   std::vector<DynBits> cubeTt;  // input-part truth table per product row
+  // rowsOfOutput[o] = product rows asserting output o, ascending.
+  std::vector<std::vector<std::size_t>> rowsOfOutput;
   // weight[i] = care (minterm, output) pairs only product row i covers —
   // what the spec loses outright if row i alone is dropped.
   std::vector<std::uint64_t> weight;
@@ -87,14 +102,13 @@ std::shared_ptr<const ApproxMapper::FmAnalysis> ApproxMapper::analyze(
   {
     std::lock_guard<std::mutex> lock(cacheMutex_);
     const auto it = cache_.find(hash);
-    if (it != cache_.end() && it->second->rows == fm.rows() && it->second->cols == fm.cols())
+    if (it != cache_.end() && it->second->nin == fm.nin() && it->second->bits == fm.bits())
       return it->second;
   }
 
   auto analysis = std::make_shared<FmAnalysis>();
-  analysis->hash = hash;
-  analysis->rows = fm.rows();
-  analysis->cols = fm.cols();
+  analysis->bits = fm.bits();
+  analysis->nin = fm.nin();
   analysis->cover = coverOfFunctionMatrix(fm);
   analysis->specTt = TruthTable::fromCover(analysis->cover);
 
@@ -104,14 +118,18 @@ std::shared_ptr<const ApproxMapper::FmAnalysis> ApproxMapper::analyze(
   for (std::size_t i = 0; i < products; ++i)
     analysis->cubeTt.push_back(ttOfCube(cover.cube(i)));
 
-  analysis->weight.assign(products, 0);
   const std::size_t nout = cover.nout();
-  for (std::size_t o = 0; o < nout; ++o) {
-    for (std::size_t i = 0; i < products; ++i) {
-      if (!cover.cube(i).out(o)) continue;
+  analysis->rowsOfOutput.resize(nout);
+  for (std::size_t o = 0; o < nout; ++o)
+    for (std::size_t i = 0; i < products; ++i)
+      if (cover.cube(i).out(o)) analysis->rowsOfOutput[o].push_back(i);
+
+  analysis->weight.assign(products, 0);
+  for (const std::vector<std::size_t>& rows : analysis->rowsOfOutput) {
+    for (const std::size_t i : rows) {
       DynBits unique = analysis->cubeTt[i];
-      for (std::size_t j = 0; j < products && unique.count() > 0; ++j)
-        if (j != i && cover.cube(j).out(o)) unique.andNot(analysis->cubeTt[j]);
+      for (std::size_t k = 0; k < rows.size() && unique.count() > 0; ++k)
+        if (rows[k] != i) unique.andNot(analysis->cubeTt[rows[k]]);
       analysis->weight[i] += unique.count();
     }
   }
@@ -127,7 +145,7 @@ std::shared_ptr<const ApproxMapper::FmAnalysis> ApproxMapper::analyze(
   // Unbounded growth guard: an experiment uses one FM, so anything beyond a
   // handful of entries is churn from ad-hoc callers.
   if (cache_.size() >= 32) cache_.clear();
-  cache_.emplace(hash, analysis);
+  cache_.insert_or_assign(hash, analysis);
   return analysis;
 }
 
@@ -155,43 +173,53 @@ MappingResult ApproxMapper::rescue(const FunctionMatrix& fm, const BitMatrix& cm
   faultinject::onSite("approx.evaluate");
 
   const auto analysis = analyze(fm);
-  const std::size_t products = fm.numProductRows();
   const std::size_t nout = fm.numOutputRows();
 
-  std::vector<std::size_t> rowOfCm(cm.rows(), MappingResult::kUnassigned);
-  std::vector<std::size_t> cmOfRow(fm.rows(), MappingResult::kUnassigned);
-  std::vector<unsigned char> visited(cm.rows(), 0);
+  using Word = BitMatrix::Word;
+  constexpr std::size_t kBits = BitMatrix::kWordBits;
+  const std::size_t cmRows = cm.rows();
+  const std::size_t cmWords = (cmRows + kBits - 1) / kBits;
 
-  // One Kuhn augmenting pass for FM row r against the current matching.
+  RescueScratch& sc = rescueScratch;
+  sc.rowOfCm.assign(cmRows, MappingResult::kUnassigned);
+  sc.cmOfRow.assign(fm.rows(), MappingResult::kUnassigned);
+
+  // One Kuhn augmenting pass for FM row r against the current matching: a
+  // DFS over CM columns in ascending order that skips visited columns and
+  // resumes after the candidate it took, found word-parallel as the lowest
+  // set bit of (adjacency row & unvisited) at or after the frame's resume
+  // column. Each frame's last taken column is (resume - 1), so the stack is
+  // also the alternating path rebound on reaching a free CM row.
   const auto augment = [&](std::size_t r) -> bool {
-    std::fill(visited.begin(), visited.end(), 0);
-    // Explicit DFS stack of (fmRow, next CM column to try).
-    std::vector<std::pair<std::size_t, std::size_t>> stack{{r, 0}};
-    // path[depth] = CM row taken at that depth, rebound on success.
-    std::vector<std::size_t> path;
-    while (!stack.empty()) {
-      auto& [row, col] = stack.back();
-      bool descended = false;
-      for (; col < cm.rows(); ++col) {
-        if (visited[col] || !adjacency.test(row, col)) continue;
-        visited[col] = 1;
-        path.resize(stack.size());
-        path[stack.size() - 1] = col;
-        const std::size_t occupant = rowOfCm[col];
-        if (occupant == MappingResult::kUnassigned) {
-          // Free CM row found: rebind the whole alternating path.
-          for (std::size_t d = 0; d < stack.size(); ++d) {
-            rowOfCm[path[d]] = stack[d].first;
-            cmOfRow[stack[d].first] = path[d];
-          }
-          return true;
-        }
-        ++col;  // resume after this candidate when the branch dead-ends
-        stack.emplace_back(occupant, 0);
-        descended = true;
-        break;
+    sc.unvisited.assign(cmWords, ~Word{0});
+    sc.unvisited.back() &= BitMatrix::tailMask(cmRows);
+    sc.stack.clear();
+    sc.stack.emplace_back(r, 0);
+    while (!sc.stack.empty()) {
+      auto& [row, resume] = sc.stack.back();
+      const Word* adj = adjacency.rowWords(row).data();
+      std::size_t w = resume / kBits;
+      Word cand = 0;
+      if (resume < cmRows) {
+        cand = adj[w] & sc.unvisited[w] & (~Word{0} << (resume % kBits));
+        while (cand == 0 && ++w < cmWords) cand = adj[w] & sc.unvisited[w];
       }
-      if (!descended) stack.pop_back();
+      if (cand == 0) {
+        sc.stack.pop_back();
+        continue;
+      }
+      const std::size_t col = w * kBits + static_cast<std::size_t>(std::countr_zero(cand));
+      sc.unvisited[w] &= ~(Word{1} << (col % kBits));
+      resume = col + 1;
+      const std::size_t occupant = sc.rowOfCm[col];
+      if (occupant == MappingResult::kUnassigned) {
+        for (const auto& [fmRow, after] : sc.stack) {
+          sc.rowOfCm[after - 1] = fmRow;
+          sc.cmOfRow[fmRow] = after - 1;
+        }
+        return true;
+      }
+      sc.stack.emplace_back(occupant, 0);
     }
     return false;
   };
@@ -213,23 +241,37 @@ MappingResult ApproxMapper::rescue(const FunctionMatrix& fm, const BitMatrix& cm
     // heuristic inners like HBA): promote to a plain exact success.
     MappingResult full;
     full.success = true;
-    full.rowAssignment = std::move(cmOfRow);
+    full.rowAssignment = sc.cmOfRow;
     full.backtracks = innerFailure.backtracks;
     full.realizedError = 0.0;
     return full;
   }
 
-  std::vector<std::size_t> retained;
-  retained.reserve(products - dropped.size());
-  for (std::size_t i = 0; i < products; ++i)
-    if (cmOfRow[i] != MappingResult::kUnassigned) retained.push_back(i);
-  const double err = approx::coverSubsetError(analysis->cover, retained).fraction();
+  // Realized error from the memoized tables: per output, the OR of the
+  // retained cubes' truth tables against the spec's, as care-pair counts
+  // (no don't-cares) — what approx::coverSubsetError reports.
+  const TruthTable& spec = analysis->specTt;
+  std::size_t wrong = 0;
+  for (std::size_t o = 0; o < nout; ++o) {
+    const std::vector<Word>& want = spec.bits(o).words();
+    sc.realized.assign(want.size(), 0);
+    for (const std::size_t i : analysis->rowsOfOutput[o]) {
+      if (sc.cmOfRow[i] == MappingResult::kUnassigned) continue;
+      const std::vector<Word>& cube = analysis->cubeTt[i].words();
+      for (std::size_t k = 0; k < cube.size(); ++k) sc.realized[k] |= cube[k];
+    }
+    for (std::size_t k = 0; k < want.size(); ++k)
+      wrong += static_cast<std::size_t>(std::popcount(sc.realized[k] ^ want[k]));
+  }
+  const std::size_t care = nout * spec.numMinterms();
+  const double err =
+      care == 0 ? 0.0 : static_cast<double>(wrong) / static_cast<double>(care);
   if (err > options_.epsilon) return innerFailure;
 
   std::sort(dropped.begin(), dropped.end());
   MappingResult partial;
   partial.success = false;
-  partial.rowAssignment = std::move(cmOfRow);
+  partial.rowAssignment = sc.cmOfRow;
   partial.droppedRows = std::move(dropped);
   partial.realizedError = err;
   partial.backtracks = innerFailure.backtracks;

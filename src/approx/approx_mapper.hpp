@@ -7,10 +7,15 @@
 // are mandatory, product rows are re-added in descending weight order with
 // an incremental augmenting-path matching, so the retained set is a
 // maximum-weight matchable row subset (greedy is optimal here — matchable
-// subsets form a transversal matroid). A cube's weight is the number of
-// (minterm, output) care pairs only it covers, and the reported
-// realizedError is recomputed exactly from the retained cubes' truth tables
-// (src/approx/error.hpp) — never estimated from the weights.
+// subsets form a transversal matroid). Each augmenting pass is Kuhn's DFS
+// in its textbook visit order (ascending CM row, resume after the candidate
+// taken), with the next candidate found word-parallel in the adjacency row
+// masked by the unvisited CM rows, on per-thread scratch reused across
+// samples. A cube's weight is the number of (minterm, output) care pairs
+// only it covers, and the reported realizedError is counted exactly from
+// the retained cubes' truth tables, memoized per FM with the spec's — the
+// value approx::coverSubsetError (src/approx/error.hpp) reports, never
+// estimated from the weights.
 //
 // Scope: two-level function matrices (numConnectionCols() == 0) with at
 // most 16 inputs — the explicit-truth-table bound. Outside that scope, or
@@ -59,10 +64,11 @@ public:
   const IMapper& inner() const { return *inner_; }
 
 private:
-  /// Per-FM precomputation (cube list, spec truth tables, cube weights,
-  /// weight-sorted row order): depends only on the FM content, not on the
-  /// defect sample, so it is cached under the FM's content hash and shared
-  /// by every worker thread of an experiment.
+  /// Per-FM precomputation (cube list, spec and cube truth tables, cube
+  /// weights, weight-sorted row order): depends only on the FM content, not
+  /// on the defect sample, so it is cached under the FM's content hash —
+  /// a hit is confirmed against the stored FM content — and shared by every
+  /// worker thread of an experiment.
   struct FmAnalysis;
 
   std::shared_ptr<const FmAnalysis> analyze(const FunctionMatrix& fm) const;

@@ -114,6 +114,38 @@ TEST_F(ApproxTestMapper, SacrificesTheLowestWeightCubeWhenRowsCompete) {
   EXPECT_TRUE(verifyPartialMapping(fm, cm, result));
 }
 
+TEST_F(ApproxTestMapper, SameShapeFunctionsGetTheirOwnAnalyses) {
+  // Two FMs of identical shape whose cube weights and rescue orders are
+  // mirrored: in A the heavy cube x1 is row 0, in B it is row 1. One
+  // mapper instance serves both, alternately, so its per-FM analysis cache
+  // must key on the content: B rescued with A's order would keep x1 x2,
+  // drop x1 and report 0.25.
+  Cover a(2, 1), b(2, 1);
+  a.add(makeCube("1-", "1"));
+  a.add(makeCube("11", "1"));
+  b.add(makeCube("11", "1"));
+  b.add(makeCube("1-", "1"));
+  const FunctionMatrix fmA = buildFunctionMatrix(a);
+  const FunctionMatrix fmB = buildFunctionMatrix(b);
+  ASSERT_EQ(fmA.rows(), fmB.rows());
+  ASSERT_EQ(fmA.cols(), fmB.cols());
+  ASSERT_NE(fmA.bits(), fmB.bits());
+  BitMatrix cm = cleanCrossbar(fmA);
+  cm.setCol(fmA.colOfPosLiteral(0), false);
+  cm.set(0, fmA.colOfPosLiteral(0));
+
+  const ApproxMapper mapper;
+  for (int round = 0; round < 2; ++round) {
+    const MappingResult ra = mapper.map(fmA, cm);
+    EXPECT_EQ(ra.droppedRows, std::vector<std::size_t>{1});
+    EXPECT_EQ(ra.realizedError, 0.0);
+    const MappingResult rb = mapper.map(fmB, cm);
+    EXPECT_EQ(rb.droppedRows, std::vector<std::size_t>{0});
+    EXPECT_EQ(rb.realizedError, 0.0);
+    EXPECT_TRUE(verifyPartialMapping(fmB, cm, rb));
+  }
+}
+
 TEST_F(ApproxTestMapper, FaultSiteFiresOnTheRescuePath) {
   faultinject::arm("approx.evaluate", {faultinject::Kind::Throw});
   const FunctionMatrix fm = buildFunctionMatrix(twoCubeCover());
