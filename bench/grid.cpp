@@ -1,8 +1,8 @@
 #include "grid.hpp"
 
-#include <fstream>
 #include <sstream>
 
+#include "api/driver.hpp"
 #include "circuit/cache.hpp"
 #include "circuit/registry.hpp"
 #include "mc/executor.hpp"
@@ -138,11 +138,7 @@ void writeGridJson(const Grid& grid, const std::vector<Cell>& cells) {
   json.field("all_deterministic", allDeterministic(cells));
   json.endObject();
 
-  const std::string path = grid.json.value_or("");
-  std::ofstream file(path);
-  file << buffer.str() << "\n";
-  file.flush();
-  if (!file) throw Error("cannot write '" + path + "'");
+  writeJsonFile(grid.json.value_or(""), buffer.str());
 }
 
 }  // namespace mcx::bench

@@ -21,8 +21,8 @@
 // accuracy-vs-defect-rate table (accuracy = 1 - mean realized error) for
 // the committed nn presets. Any invariant violation exits 1, turning the
 // CTest smoke run into a regression check of the graded engine.
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,8 +53,8 @@ int runApprox(const std::vector<std::string>& args) {
   const std::string approxSpec =
       R"({"mapper": "approx", "inner": "fast-ea", "epsilon": 1.0})";
 
-  std::ofstream jsonFile(jsonPath);
-  JsonWriter json(jsonFile);
+  std::ostringstream jsonBuffer;
+  JsonWriter json(jsonBuffer);
   json.beginObject();
   json.field("bench", "ablation-approx");
   json.field("samples", static_cast<std::uint64_t>(samples));
@@ -162,7 +162,7 @@ int runApprox(const std::vector<std::string>& args) {
   json.field("yield_zero_mismatches", static_cast<std::uint64_t>(yieldZeroMismatches));
   json.field("monotonicity_violations", static_cast<std::uint64_t>(monotonicityViolations));
   json.endObject();
-  jsonFile << "\n";
+  bench::writeJsonFile(jsonPath, jsonBuffer.str());
 
   std::cout << "Functional yield(eps): samples within the error budget, per cell ("
             << samples << " samples, approx(fast-ea) mapper)\n\n";

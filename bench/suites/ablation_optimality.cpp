@@ -19,8 +19,8 @@
 // Any invariant violation prints loudly and fails the suite (exit 1),
 // which also turns the CTest smoke run into a cross-check of the two exact
 // solvers against the matching heuristics on real circuit workloads.
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,8 +50,8 @@ int runOptimality(const std::vector<std::string>& args) {
 
   const std::vector<std::string> heuristics = {"greedy", "hba-nobt", "hba"};
 
-  std::ofstream jsonFile(jsonPath);
-  JsonWriter json(jsonFile);
+  std::ostringstream jsonBuffer;
+  JsonWriter json(jsonBuffer);
   json.beginObject();
   json.field("bench", "ablation-optimality");
   json.field("samples", static_cast<std::uint64_t>(samples));
@@ -131,7 +131,7 @@ int runOptimality(const std::vector<std::string>& args) {
   json.field("exact_mismatches", static_cast<std::uint64_t>(exactMismatches));
   json.field("nonzero_gap_cells", static_cast<std::uint64_t>(nonzeroGapCells));
   json.endObject();
-  jsonFile << "\n";
+  bench::writeJsonFile(jsonPath, jsonBuffer.str());
 
   std::cout << "Optimality gap vs exact verdict (" << samples
             << " samples per cell, identical defect maps across mappers)\n\n";

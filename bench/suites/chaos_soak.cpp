@@ -23,7 +23,6 @@
 //                        [--faults SPEC] [--json PATH]
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -267,13 +266,7 @@ int runChaosSoak(const std::vector<std::string>& args) {
     json.field("rss_start_bytes", rssStart.rssBytes);
     json.field("rss_peak_bytes", rssEnd.peakRssBytes);
     json.endObject();
-    std::ofstream jsonFile(jsonPath);
-    jsonFile << jsonBuffer.str() << "\n";
-    jsonFile.flush();
-    if (!jsonFile) {
-      std::cerr << "chaos_soak: cannot write " << jsonPath << "\n";
-      return 2;
-    }
+    bench::writeJsonFile(jsonPath, jsonBuffer.str());
 
     TextTable table({"submitted", "ok", "parse", "shed", "ddl", "internal", "degraded",
                      "evict", "fired"});

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the library's hot kernels:
 // row matching, matching-matrix construction, Munkres, tautology checking,
 // complement, ISOP, espresso, factoring, end-to-end HBA/EA mapping, and the
-// three layers of the Monte Carlo hot path (legacy vs sparse sampling, full
-// vs incremental adjacency, cold vs warm-started Hopcroft-Karp) on the bw
+// three layers of the Monte Carlo hot path (legacy vs sparse sampling, the
+// candidate adjacency, cold vs warm-started Hopcroft-Karp) on the bw
 // multi-level workload at the paper's 10% stuck-open rate, the approx
 // mapper's rescue of inner-mapper failures, plus the memoized synthesis
 // front-end (full pipeline compile vs cache hit), and the telemetry layer's
@@ -68,10 +68,8 @@ void BM_MatchingMatrix(benchmark::State& state) {
   Rng rng(3);
   const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
-  std::vector<std::size_t> rows(fm.rows());
-  for (std::size_t r = 0; r < fm.rows(); ++r) rows[r] = r;
   for (auto _ : state)
-    benchmark::DoNotOptimize(buildMatchingMatrix(fm.bits(), rows, cm, rows));
+    benchmark::DoNotOptimize(buildMatchingMatrix(buildCandidateAdjacency(fm.bits(), cm)));
 }
 BENCHMARK(BM_MatchingMatrix)->Arg(64)->Arg(256);
 
@@ -133,9 +131,8 @@ void BM_SamplerLegacy(benchmark::State& state) {
   const IidBernoulli model(0.10, 0.0);
   Rng rng(6);
   DefectMap map;
-  DirtyRows dirty;
   for (auto _ : state) {
-    model.generateTracked(fm.rows(), fm.cols(), rng, map, dirty);
+    model.generate(fm.rows(), fm.cols(), rng, map);
     benchmark::DoNotOptimize(map);
   }
 }
@@ -148,8 +145,6 @@ BENCHMARK(BM_SamplerLegacy);
 struct BwDeck {
   static constexpr std::size_t kSize = 64;
   std::vector<Rng> streams;  ///< generator state before each sample
-  std::vector<DefectMap> defects;
-  std::vector<DirtyRows> dirty;
   std::vector<BitMatrix> cm, adjacency;
 };
 
@@ -161,9 +156,7 @@ const BwDeck& bwDeck() {
     Rng rng(6);
     for (std::size_t i = 0; i < BwDeck::kSize; ++i) {
       d.streams.push_back(rng);
-      DefectMap& defects = d.defects.emplace_back();
-      model.generateTracked(fm.rows(), fm.cols(), rng, defects, d.dirty.emplace_back());
-      d.cm.push_back(crossbarMatrix(defects));
+      d.cm.push_back(crossbarMatrix(model.sample(fm.rows(), fm.cols(), rng)));
       d.adjacency.push_back(buildCandidateAdjacency(fm.bits(), d.cm.back()));
     }
     return d;
@@ -176,40 +169,26 @@ void BM_SamplerSparse(benchmark::State& state) {
   const BwDeck& deck = bwDeck();
   const SparseIidBernoulli model(0.10, 0.0);
   DefectMap map;
-  DirtyRows dirty;
   std::size_t i = 0;
   for (auto _ : state) {
     Rng rng = deck.streams[i++ % BwDeck::kSize];
-    model.generateTracked(fm.rows(), fm.cols(), rng, map, dirty);
+    model.generate(fm.rows(), fm.cols(), rng, map);
     benchmark::DoNotOptimize(map);
   }
 }
 BENCHMARK(BM_SamplerSparse);
 
-void BM_AdjacencyFull(benchmark::State& state) {
-  const FunctionMatrix& fm = bwFunctionMatrix();
-  const BwDeck& deck = bwDeck();
-  BitMatrix adjacency;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    buildCandidateAdjacencyInto(fm.bits(), deck.cm[i++ % BwDeck::kSize], adjacency);
-    benchmark::DoNotOptimize(adjacency);
-  }
-}
-BENCHMARK(BM_AdjacencyFull);
-
-void BM_AdjacencyIncremental(benchmark::State& state) {
+// The engine's path: one reused context per worker, the next card's CM each
+// iteration.
+void BM_Adjacency(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
   const BwDeck& deck = bwDeck();
   MappingContext ctx;
   std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t k = i++ % BwDeck::kSize;
-    ctx.setSample(&deck.defects[k], &deck.dirty[k]);
-    benchmark::DoNotOptimize(ctx.candidateAdjacency(fm.bits(), deck.cm[k]));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(ctx.candidateAdjacency(fm.bits(), deck.cm[i++ % BwDeck::kSize]));
 }
-BENCHMARK(BM_AdjacencyIncremental);
+BENCHMARK(BM_Adjacency);
 
 void BM_MatchingColdStart(benchmark::State& state) {
   const BwDeck& deck = bwDeck();

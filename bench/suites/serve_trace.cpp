@@ -15,7 +15,6 @@
 //                         [--seed S] [--json PATH]
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -253,13 +252,7 @@ int runServeTrace(const std::vector<std::string>& args) {
   writePass(json, "warm", warm);
   json.endArray();
   json.endObject();
-  std::ofstream jsonFile(jsonPath);
-  jsonFile << jsonBuffer.str() << "\n";
-  jsonFile.flush();
-  if (!jsonFile) {
-    std::cerr << "serve_trace: cannot write " << jsonPath << "\n";
-    return 2;
-  }
+  bench::writeJsonFile(jsonPath, jsonBuffer.str());
 
   TextTable table({"pass", "req/s", "p50 ms", "p90 ms", "p99 ms", "q p99", "syn p99", "ok",
                    "shed", "ddl miss", "synth"});

@@ -1,6 +1,7 @@
 #include "api/driver.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <iostream>
 
 #include "circuit/registry.hpp"
@@ -163,6 +164,13 @@ std::optional<int> parseSuiteArgs(cli::ArgParser& parser,
     case cli::ArgParser::Outcome::Ok: break;
   }
   return std::nullopt;
+}
+
+void writeJsonFile(const std::string& path, const std::string& text) {
+  std::ofstream file(path);
+  file << text << "\n";
+  file.flush();
+  if (!file) throw Error("cannot write '" + path + "'");
 }
 
 SuiteRegistrar::SuiteRegistrar(std::string name, std::string summary,

@@ -98,6 +98,13 @@ void listCircuits(std::ostream& out);
 /// into the suite body.
 std::optional<int> parseSuiteArgs(cli::ArgParser& parser, const std::vector<std::string>& args);
 
+/// Write a suite's finished JSON document @p text (plus a trailing newline)
+/// to @p path. Throws mcx::Error("cannot write '<path>'") when the file
+/// cannot be written, an empty path included; the driver reports it and
+/// exits 2. Suites buffer the document and call this after the last cell,
+/// so a failed run leaves an existing file untouched.
+void writeJsonFile(const std::string& path, const std::string& text);
+
 }  // namespace mcx::bench
 
 /// Register a suite: MCX_BENCH_SUITE("table2", "Table II reproduction",

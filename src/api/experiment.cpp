@@ -130,11 +130,6 @@ ExperimentBuilder& ExperimentBuilder::spares(const RedundantCrossbarSpec& spares
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::verifyMappings(bool on) {
-  config_.verify = on;
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::timePerSample(bool on) {
   config_.timePerSample = on;
   return *this;

@@ -125,7 +125,6 @@ public:
   ExperimentBuilder& spares(const RedundantCrossbarSpec& spares);
   /// spares({n, 0, 0}), kept for existing callers.
   ExperimentBuilder& spareRows(std::size_t n) { return spares({n, 0, 0}); }
-  ExperimentBuilder& verifyMappings(bool on);
   ExperimentBuilder& timePerSample(bool on);
   ExperimentBuilder& keepMappings(bool on);
   /// Graded acceptance budget (functional yield(ε)) in [0, 1]: a sample

@@ -149,12 +149,6 @@ std::shared_ptr<const ApproxMapper::FmAnalysis> ApproxMapper::analyze(
   return analysis;
 }
 
-MappingResult ApproxMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingResult exact = inner_->map(fm, cm);
-  if (exact.success) return exact;
-  return rescue(fm, cm, buildCandidateAdjacency(fm.bits(), cm), std::move(exact));
-}
-
 MappingResult ApproxMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
                                 MappingContext& ctx) const {
   MappingResult exact = inner_->map(fm, cm, ctx);

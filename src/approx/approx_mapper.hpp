@@ -56,7 +56,7 @@ public:
                         std::shared_ptr<const IMapper> inner = nullptr);
 
   std::string name() const override;
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
+  using IMapper::map;
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
                     MappingContext& ctx) const override;
 

@@ -32,11 +32,6 @@ std::vector<std::size_t> leastDefectiveFirst(const BitMatrix& cm, std::size_t ne
 
 }  // namespace
 
-MappingResult ColumnPermutationMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample, no spare pairs
-  return map(fm, cm, ctx);
-}
-
 MappingResult ColumnPermutationMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
                                            MappingContext& ctx) const {
   const RedundantCrossbarSpec& spares = ctx.spares();

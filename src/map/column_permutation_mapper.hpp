@@ -36,8 +36,7 @@ public:
         inner_(inner ? std::move(inner) : std::make_shared<HybridMapper>()) {}
 
   std::string name() const override { return "ColPerm+" + inner_->name(); }
-  /// A CM with no spare pairs (use the context overload for a wider one).
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
+  using IMapper::map;
   /// @p cm must have redundantDims(fm, ctx.spares()) columns.
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
                     MappingContext& ctx) const override;

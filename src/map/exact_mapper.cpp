@@ -1,15 +1,8 @@
 #include "map/exact_mapper.hpp"
 
-#include <numeric>
-
 #include "util/error.hpp"
 
 namespace mcx {
-
-MappingResult ExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample: full adjacency rebuild
-  return map(fm, cm, ctx);
-}
 
 MappingResult ExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
                                MappingContext& ctx) const {
@@ -17,16 +10,11 @@ MappingResult ExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
   MappingResult result;
   if (fm.rows() > cm.rows()) return result;
 
+  const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
   if (opts_.useMunkres) {
     // The paper's formulation: zero-cost Munkres assignment on the full
     // matching matrix (the ablation runtime baseline).
-    std::vector<std::size_t> fmRows(fm.rows());
-    std::iota(fmRows.begin(), fmRows.end(), 0u);
-    std::vector<std::size_t> cmRows(cm.rows());
-    std::iota(cmRows.begin(), cmRows.end(), 0u);
-
-    const CostMatrix matching = buildMatchingMatrix(fm.bits(), fmRows, cm, cmRows);
-    const AssignmentResult assignment = munkresSolve(matching);
+    const AssignmentResult assignment = munkresSolve(buildMatchingMatrix(adjacency));
     if (assignment.cost != 0) return result;
 
     result.rowAssignment.assign(assignment.assignment.begin(),
@@ -36,9 +24,8 @@ MappingResult ExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
     return result;
   }
 
-  // Feasibility fast path: Hopcroft-Karp on the word-parallel candidate
-  // adjacency decides the same perfect-matching question in O(E sqrt(V)).
-  const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
+  // Feasibility fast path: Hopcroft-Karp on the same adjacency decides the
+  // same perfect-matching question in O(E sqrt(V)).
   FeasibleAssignment assignment = solveFeasibleAssignment(adjacency);
   if (!assignment.success) return result;
 

@@ -25,7 +25,7 @@ public:
   explicit ExactMapper(ExactMapperOptions opts = {}) : opts_(opts) {}
 
   std::string name() const override { return opts_.useMunkres ? "EA-munkres" : "EA"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
+  using IMapper::map;
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
                     MappingContext& ctx) const override;
 

@@ -4,11 +4,6 @@
 
 namespace mcx {
 
-MappingResult FastExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample: full adjacency rebuild
-  return map(fm, cm, ctx);
-}
-
 MappingResult FastExactMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
                                    MappingContext& ctx) const {
   MCX_REQUIRE(fm.cols() == cm.cols(), "FastExactMapper: column count mismatch");

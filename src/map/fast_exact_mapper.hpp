@@ -14,7 +14,7 @@ namespace mcx {
 class FastExactMapper final : public IMapper {
 public:
   std::string name() const override { return "EA-fast"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
+  using IMapper::map;
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
                     MappingContext& ctx) const override;
 };

@@ -4,7 +4,8 @@
 
 namespace mcx {
 
-MappingResult GreedyMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
+MappingResult GreedyMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
+                                MappingContext& /*ctx*/) const {
   MCX_REQUIRE(fm.cols() == cm.cols(), "GreedyMapper: column count mismatch");
   MappingResult result;
   if (fm.rows() > cm.rows()) return result;

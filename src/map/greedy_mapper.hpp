@@ -10,7 +10,9 @@ namespace mcx {
 class GreedyMapper final : public IMapper {
 public:
   std::string name() const override { return "Greedy"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
+  using IMapper::map;
+  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
+                    MappingContext& ctx) const override;
 };
 
 }  // namespace mcx

@@ -105,11 +105,6 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency,
 
 }  // namespace
 
-MappingResult HybridMapper::map(const FunctionMatrix& fm, const BitMatrix& cm) const {
-  MappingContext ctx;  // no registered sample: full adjacency rebuild
-  return map(fm, cm, ctx);
-}
-
 MappingResult HybridMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
                                 MappingContext& ctx) const {
   MCX_REQUIRE(fm.cols() == cm.cols(), "HybridMapper: column count mismatch");
@@ -119,8 +114,8 @@ MappingResult HybridMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
   const std::size_t P = fm.numProductRows();
 
   // One adjacency precompute serves the degree check, both phases, and the
-  // backtracking probes (O(1) bit tests afterwards); the context rebuilds
-  // it incrementally from the sample's dirty rows when it can.
+  // backtracking probes (O(1) bit tests afterwards), built in the
+  // context's reused buffers.
   const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
   std::vector<std::size_t> candidates(fm.rows());
   for (std::size_t r = 0; r < fm.rows(); ++r) {

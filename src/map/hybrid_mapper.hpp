@@ -32,7 +32,7 @@ public:
   explicit HybridMapper(HybridMapperOptions opts = {}) : opts_(opts) {}
 
   std::string name() const override { return opts_.backtracking ? "HBA" : "HBA-nobt"; }
-  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const override;
+  using IMapper::map;
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
                     MappingContext& ctx) const override;
 

@@ -4,11 +4,13 @@
 // Matching rule (Section IV-B of the paper): an FM row can be placed on a CM
 // row iff every 1 of the FM row (required active switch) falls on a 1 of the
 // CM row (functional crosspoint). FM 0s (disabled switches) are compatible
-// with both functional and stuck-open crosspoints.
+// with both functional and stuck-open crosspoints. The rule depends on the
+// CM alone, which already carries every defect's effect, so one kernel
+// (buildCandidateAdjacency) builds every candidate adjacency from it;
+// rowMatches stays for per-pair checks (verification, first-fit).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -24,97 +26,46 @@ namespace mcx {
 bool rowMatches(const BitMatrix& fm, std::size_t fmRow, const BitMatrix& cm, std::size_t cmRow);
 
 /// Candidate adjacency of the matching problem: bit (i, j) set iff FM row i
-/// fits CM row j. Computed once per defect sample with the word-parallel
-/// rowSubsetOf and shared by every downstream consumer (degree checks,
+/// fits CM row j (rowMatches), padding bits clear. Built once per defect
+/// sample and shared by every downstream consumer (degree checks,
 /// Hopcroft-Karp, cost-matrix construction).
+///
+/// One kernel builds every adjacency. It transposes the CM once, so that
+/// row c of the transpose lists the CM rows functional at column c; FM row
+/// i then fits exactly the CM rows functional at every column i requires,
+/// i.e. the AND of those columns' transposed rows (all ones for an empty FM
+/// row). That is the subset rule written column by column, at
+/// O(fmOnes x cmRows/64) word ops after the 64x64 block transpose. The
+/// stuck-closed poisoning of Section IV-A needs no special case: the CM
+/// already carries it (crossbarMatrixInto).
 BitMatrix buildCandidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
 
-/// In-place variant of buildCandidateAdjacency: identical bits, but reuses
-/// @p out's allocation (the Monte Carlo scratch-arena entry point).
-void buildCandidateAdjacencyInto(const BitMatrix& fm, const BitMatrix& cm, BitMatrix& out);
-
-/// Subset variant: bit (i, j) set iff FM row fmRows[i] fits CM row cmRows[j].
-BitMatrix buildCandidateAdjacency(const BitMatrix& fm, const std::vector<std::size_t>& fmRows,
-                                  const BitMatrix& cm, const std::vector<std::size_t>& cmRows);
-
-/// Per-experiment scratch for the Monte Carlo mapping hot path.
-///
-/// The clean crossbar's candidate adjacency is all-ones by construction
-/// (every FM row fits a defect-free CM row), so a sample's adjacency only
-/// differs where its defects bite. When the engine registers the sample's
-/// DefectMap and DirtyRows (setSample), candidateAdjacency() derives each
-/// adjacency row directly from the defects: FM row i loses exactly the CM
-/// rows that have a stuck-open defect in one of i's required columns, so
-/// with the defect matrix transposed once per sample (64x64 bit-block
-/// transpose) row i is the complement of the union of its columns' defect
-/// masks — O(fmOnes x cmRowWords) word ops per sample instead of the full
-/// rebuild's O(fmRows x cmRows x colWords) fit tests. Stuck-closed
-/// poisoning is layered on top: a poisoned CM row is erased for every
-/// non-empty FM row (word-parallel mask) and a poisoned CM column erases
-/// every FM row requiring it (column->rows index built once per FM). Dense
-/// models (DirtyRows in markAll mode) and unregistered calls fall back to
-/// the full word-parallel rebuild. Both paths produce bit-identical
-/// adjacencies — the fast path changes how, never what.
-///
-/// Contract: the registered DefectMap must be the one @p cm was derived
-/// from (crossbarMatrixInto). The per-FM index is cached on an (address,
-/// dims, content hash) key, so switching function matrices — even one
-/// reallocated at the same address — rebinds automatically; keeping one
-/// context per function matrix (as the engine does, one per worker per
-/// experiment) just avoids the rebuild churn.
+/// Per-worker scratch for the Monte Carlo mapping hot path: the reused
+/// transpose and adjacency buffers of the candidate-adjacency kernel, plus
+/// the spare lines of the crossbar the CMs come from.
 class MappingContext {
 public:
-  /// Register the sample behind the next candidateAdjacency() call; null
-  /// pointers force the full rebuild. The pointees must outlive the call.
-  void setSample(const DefectMap* defects, const DirtyRows* dirty) {
-    defects_ = defects;
-    dirty_ = dirty;
-  }
+  // Kept only for perfbench; delete in the next benchmark PR.
+  void setSample(const DefectMap*, const DirtyRows*) {}
 
   /// Spare lines of the crossbar the CMs come from (the engine sets its
   /// config's): the column-assignment mapper lays out a wider CM by them.
   void setSpares(const RedundantCrossbarSpec& spares) { spares_ = spares; }
   const RedundantCrossbarSpec& spares() const { return spares_; }
 
-  /// Candidate adjacency of (fm, cm) in a reused internal buffer (valid
+  /// buildCandidateAdjacency(fm, cm) in a reused internal buffer (valid
   /// until the next call on this context).
   const BitMatrix& candidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
 
 private:
-  void bindFm(const BitMatrix& fm);
-
-  const DefectMap* defects_ = nullptr;
-  const DirtyRows* dirty_ = nullptr;
   RedundantCrossbarSpec spares_;
-
-  // Column -> FM rows index (CSR, for poisoned-column erasure) plus the
-  // all-zero FM rows, built once per bound function matrix.
-  const BitMatrix* fmKey_ = nullptr;
-  std::size_t fmRowsKey_ = 0, fmColsKey_ = 0;
-  std::uint64_t fmHashKey_ = 0;
-  std::size_t fmOnes_ = 0;
-  std::vector<std::uint32_t> colOffsets_;
-  std::vector<std::uint32_t> colRows_;
-  std::vector<unsigned char> fmRowEmpty_;
-
-  // Per-sample scratch: transposed stuck-open matrix, defect-mask union,
-  // poison masks, and the adjacency itself.
-  BitMatrix openT_;
-  std::vector<BitMatrix::Word> unionScratch_;
-  std::vector<BitMatrix::Word> poisonRowMask_;
-  std::vector<BitMatrix::Word> poisonColMask_;
+  BitMatrix cmT_;
   BitMatrix adjacency_;
 };
 
 /// The paper's "matching matrix" as a Munkres cost matrix: entry 0 where
-/// FM row fmRows[i] fits CM row cmRows[j], 1 otherwise. A zero-cost perfect
-/// assignment is exactly a valid mapping of the selected rows.
-CostMatrix buildMatchingMatrix(const BitMatrix& fm, const std::vector<std::size_t>& fmRows,
-                               const BitMatrix& cm, const std::vector<std::size_t>& cmRows);
-
-/// Overload for a precomputed candidate adjacency: cost 0 where the bit is
-/// set, 1 otherwise. Lets callers that already hold the adjacency skip the
-/// per-pair subset tests.
+/// the candidate adjacency bit is set (the FM row fits the CM row), 1
+/// otherwise. A zero-cost perfect assignment is exactly a valid mapping.
 CostMatrix buildMatchingMatrix(const BitMatrix& adjacency);
 
 /// A solved 0/1 feasibility matching (the unweighted special case of the
@@ -189,17 +140,15 @@ public:
   virtual ~IMapper() = default;
   virtual std::string name() const = 0;
   /// Map the FM onto the CM (cm.rows() >= fm.rows(), same column count
-  /// unless the mapper documents otherwise).
-  virtual MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const = 0;
-  /// Context-aware overload for the Monte Carlo engine. Mappers that can
-  /// exploit per-experiment state (the incremental candidate adjacency)
-  /// override it; the default ignores the context. Must return exactly what
-  /// map(fm, cm) would — the context changes how the adjacency is built,
-  /// never its content.
+  /// unless the mapper documents otherwise). @p ctx supplies the reused
+  /// adjacency buffers and the crossbar's spare lines; the result depends
+  /// on the context's spares only, never on its buffers.
   virtual MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
-                            MappingContext& ctx) const {
-    (void)ctx;
-    return map(fm, cm);
+                            MappingContext& ctx) const = 0;
+  /// map() on a fresh context (a crossbar without spare lines).
+  MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm) const {
+    MappingContext ctx;
+    return map(fm, cm, ctx);
   }
 };
 

@@ -47,15 +47,13 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
   std::vector<PerSample> outcomes(config.samples);
   if (config.keepMappings) result.mappings.resize(config.samples);
 
-  // Per-worker scratch arenas: the DefectMap, dirty-row report, crossbar
-  // BitMatrix, and mapping-context buffers are reused across every sample a
-  // worker processes. The context turns each sample's dirty rows into an
-  // incremental candidate-adjacency rebuild (bit-identical to the full
-  // one), so results stay independent of the thread count and of whether a
-  // mapper takes the context path at all.
+  // Per-worker scratch arenas: the DefectMap, crossbar BitMatrix, and
+  // mapping-context buffers (the candidate-adjacency kernel's transpose and
+  // adjacency) are reused across every sample a worker processes. Buffer
+  // reuse changes no bit of any result, so results stay independent of the
+  // thread count.
   struct Scratch {
     DefectMap defects;
-    DirtyRows dirty;
     BitMatrix cm;
     MappingContext ctx;
   };
@@ -73,9 +71,8 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
 
     Scratch& sc = scratch[worker];
     Rng sampleRng = streams[s];
-    model.generateTracked(dims.rows, dims.cols, sampleRng, sc.defects, sc.dirty);
+    model.generate(dims.rows, dims.cols, sampleRng, sc.defects);
     crossbarMatrixInto(sc.defects, sc.cm);
-    sc.ctx.setSample(&sc.defects, &sc.dirty);
 
     double sec = 0;
     MappingResult mapping;
@@ -87,12 +84,12 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
       mapping = mapper.map(fm, sc.cm, sc.ctx);
     }
 
-    if (mapping.success && config.verify)
+    if (mapping.success)
       MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping, config.spares),
                   "runDefectExperiment: mapper returned an invalid mapping");
     // Graded partial mappings carry a physical claim too (the retained rows
-    // really fit their CM rows); check it under the same verify knob.
-    if (!mapping.success && !mapping.droppedRows.empty() && config.verify)
+    // really fit their CM rows).
+    if (!mapping.success && !mapping.droppedRows.empty())
       MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping, config.spares),
                   "runDefectExperiment: mapper returned an invalid partial mapping");
 

@@ -31,12 +31,6 @@ DefectMap DefectModel::sample(std::size_t rows, std::size_t cols, Rng& rng) cons
   return map;
 }
 
-void DefectModel::generateTracked(std::size_t rows, std::size_t cols, Rng& rng,
-                                  DefectMap& out, DirtyRows& dirty) const {
-  generate(rows, cols, rng, out);
-  dirty.scan(out);
-}
-
 // ----------------------------------------------------------- IidBernoulli
 
 IidBernoulli::IidBernoulli(double stuckOpenRate, double stuckClosedRate)
@@ -81,30 +75,14 @@ std::string SparseIidBernoulli::describe() const {
 
 void SparseIidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
                                   DefectMap& out) const {
-  sampleSparse(rows, cols, rng, out, nullptr);
-}
-
-void SparseIidBernoulli::generateTracked(std::size_t rows, std::size_t cols, Rng& rng,
-                                         DefectMap& out, DirtyRows& dirty) const {
-  sampleSparse(rows, cols, rng, out, &dirty);
-}
-
-void SparseIidBernoulli::sampleSparse(std::size_t rows, std::size_t cols, Rng& rng,
-                                      DefectMap& out, DirtyRows* dirty) const {
   const double total = stuckOpenRate() + stuckClosedRate();
   if (total > kDenseRateCutoff) {
     // Dense regime: the distinct-site rejection loop would redraw too
     // often; the parent's one-draw-per-crosspoint sweep wins.
     IidBernoulli::generate(rows, cols, rng, out);
-    if (dirty != nullptr) dirty->scan(out);
     return;
   }
   out.reshape(rows, cols);
-  if (dirty != nullptr) {
-    dirty->all = false;
-    dirty->rows.clear();
-    dirty->stuckOpen = dirty->stuckClosed = 0;
-  }
   if (rows == 0 || cols == 0 || total <= 0.0) return;
 
   // Draw order (fixed by rows/cols and the rates alone): one uniform for
@@ -211,10 +189,6 @@ void SparseIidBernoulli::sampleSparse(std::size_t rows, std::size_t cols, Rng& r
   else
     placeAll(std::false_type{});
   rng = local;
-  // Defect sites arrive in random order; recover the sorted dirty-row list
-  // with a word-level scan of the finished map (O(area/64), far below the
-  // sampling cost it replaces).
-  if (dirty != nullptr) dirty->scan(out);
 }
 
 // -------------------------------------------------------- ClusteredDefects

@@ -40,14 +40,10 @@ public:
   virtual void generate(std::size_t rows, std::size_t cols, Rng& rng,
                         DefectMap& out) const = 0;
 
-  /// generate() plus a report of the touched crossbar-matrix rows, the
-  /// input of the incremental-adjacency fast path (MappingContext). Same
-  /// draw sequence as generate() — the Monte Carlo engine may call either
-  /// for a sample without perturbing the stream. The default derives the
-  /// dirty set from the finished map with a word-level scan; sparse models
-  /// override to report the rows they touched directly.
-  virtual void generateTracked(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
-                               DirtyRows& dirty) const;
+  // Kept only for perfbench; delete in the next benchmark PR.
+  void generateTracked(std::size_t r, std::size_t c, Rng& rng, DefectMap& out, DirtyRows&) const {
+    generate(r, c, rng, out);
+  }
 
   /// Convenience wrapper over generate() for non-scratch-arena callers.
   DefectMap sample(std::size_t rows, std::size_t cols, Rng& rng) const;
@@ -99,12 +95,6 @@ public:
   std::string name() const override { return "iid-sparse"; }
   std::string describe() const override;
   void generate(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) const override;
-  void generateTracked(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
-                       DirtyRows& dirty) const override;
-
-private:
-  void sampleSparse(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out,
-                    DirtyRows* dirty) const;
 };
 
 /// Particle-induced clusters: seed points land uniformly (expected

@@ -84,7 +84,8 @@ public:
 
   /// Transpose @p src into this matrix (reshaped to cols x rows), via
   /// word-parallel 64x64 block transposes — O(area/64 log 64) word ops, the
-  /// per-sample cost of the incremental-adjacency fast path.
+  /// per-sample first step of the candidate-adjacency kernel
+  /// (map/matching.hpp).
   void assignTransposed(const BitMatrix& src);
 
   /// Mask selecting the valid bits of a row's last word when a row of

@@ -20,27 +20,6 @@ void DefectMap::setType(std::size_t r, std::size_t c, DefectType t) {
   closed_.set(r, c, t == DefectType::StuckClosed);
 }
 
-void DirtyRows::scan(const DefectMap& map) {
-  all = false;
-  rows.clear();
-  stuckOpen = stuckClosed = 0;
-  // Single pass: defect counts and row dirtiness from the same word loads.
-  for (std::size_t r = 0; r < map.rows(); ++r) {
-    const auto open = map.openBits().rowWords(r);
-    const auto closed = map.closedBits().rowWords(r);
-    BitMatrix::Word any = 0;
-    std::size_t nOpen = 0, nClosed = 0;
-    for (std::size_t i = 0; i < open.size(); ++i) {
-      nOpen += static_cast<std::size_t>(std::popcount(open[i]));
-      nClosed += static_cast<std::size_t>(std::popcount(closed[i]));
-      any |= open[i] | closed[i];
-    }
-    stuckOpen += nOpen;
-    stuckClosed += nClosed;
-    if (any != 0) rows.push_back(r);
-  }
-}
-
 bool DefectMap::rowPoisoned(std::size_t r) const { return closed_.rowCount(r) > 0; }
 
 bool DefectMap::colPoisoned(std::size_t c) const { return closed_.colCount(c) > 0; }

@@ -23,32 +23,8 @@ namespace mcx {
 
 enum class DefectType : unsigned char { None, StuckOpen, StuckClosed };
 
-class DefectMap;
-
-/// Sparse description of how a defect sample perturbs the clean crossbar:
-/// which crossbar-matrix rows can differ from the all-functional (all-ones)
-/// row, plus the sample's defect counts. Produced by DefectModels alongside
-/// the DefectMap so the mapping hot path can rebuild only what the sample
-/// actually touched (see MappingContext in map/matching.hpp).
-struct DirtyRows {
-  /// Conservative mode: treat every row as dirty (rows is then ignored).
-  bool all = true;
-  /// Rows containing at least one defect, ascending, unique. Only
-  /// meaningful when !all.
-  std::vector<std::size_t> rows;
-  std::size_t stuckOpen = 0;    ///< stuck-open defects in the sample
-  std::size_t stuckClosed = 0;  ///< stuck-closed defects in the sample
-
-  void markAll() {
-    all = true;
-    rows.clear();
-    stuckOpen = stuckClosed = 0;
-  }
-  /// Derive the exact dirty set from a finished map (a word-level row scan,
-  /// O(area/64) — the model-agnostic fallback behind
-  /// DefectModel::generateTracked).
-  void scan(const DefectMap& map);
-};
+// Kept only for perfbench; delete in the next benchmark PR.
+struct DirtyRows {};
 
 class DefectMap {
 public:

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/experiment.hpp"
 #include "approx/error.hpp"
 #include "circuit/cache.hpp"
@@ -191,9 +193,6 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndMunkresGroundTruth) {
   std::vector<std::size_t> outputRows;
   for (std::size_t o = 0; o < fm.numOutputRows(); ++o)
     outputRows.push_back(fm.rowOfOutput(o));
-  std::vector<std::size_t> allFmRows(fm.rows());
-  for (std::size_t r = 0; r < fm.rows(); ++r) allFmRows[r] = r;
-  std::vector<std::size_t> allCmRows;
   std::size_t partials = 0;
 
   for (Rng rng : splitSampleStreams(0xf00d, 40)) {
@@ -231,18 +230,19 @@ TEST_F(ApproxTestMapper, ReportedErrorsMatchExhaustiveAndMunkresGroundTruth) {
                               static_cast<double>(specTt.nout() * specTt.numMinterms());
     EXPECT_DOUBLE_EQ(result.realizedError, exhaustive);
 
-    // (b) Munkres cross-check. Retained product rows + output rows must
-    // have a zero-cost assignment...
-    if (allCmRows.size() != cm.rows()) {
-      allCmRows.resize(cm.rows());
-      for (std::size_t r = 0; r < cm.rows(); ++r) allCmRows[r] = r;
-    }
+    // (b) Munkres cross-check on rows of the full candidate adjacency.
+    // Retained product rows + output rows must have a zero-cost
+    // assignment...
+    const BitMatrix adjacency = buildCandidateAdjacency(fm.bits(), cm);
     std::vector<std::size_t> fmRows = retainedRows;
     fmRows.insert(fmRows.end(), outputRows.begin(), outputRows.end());
-    EXPECT_EQ(munkresSolve(buildMatchingMatrix(fm.bits(), fmRows, cm, allCmRows)).cost, 0)
+    BitMatrix retainedAdjacency(fmRows.size(), cm.rows());
+    for (std::size_t i = 0; i < fmRows.size(); ++i)
+      std::ranges::copy(adjacency.rowWords(fmRows[i]), retainedAdjacency.rowWords(i).begin());
+    EXPECT_EQ(munkresSolve(buildMatchingMatrix(retainedAdjacency)).cost, 0)
         << "retained rows must be matchable";
     // ...and the full row set must not.
-    EXPECT_GT(munkresSolve(buildMatchingMatrix(fm.bits(), allFmRows, cm, allCmRows)).cost, 0)
+    EXPECT_GT(munkresSolve(buildMatchingMatrix(adjacency)).cost, 0)
         << "a rescue happened on a sample the exact mapper could have mapped";
   }
   EXPECT_GT(partials, 0u) << "the rate/seed must actually exercise the rescue path";

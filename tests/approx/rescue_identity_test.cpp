@@ -173,16 +173,14 @@ Tally replayCell(const IdentityCell& cell, const std::string& innerSpec, std::si
 
   Tally tally;
   DefectMap defects;
-  DirtyRows dirty;
   BitMatrix cm;
   MappingContext ctx;
   std::size_t s = 0;
   for (Rng rng : splitSampleStreams(0x5e5c + spareRows, cell.samples)) {
     SCOPED_TRACE(std::string(cell.circuit) + " inner=" + innerSpec + " spares=" +
                  std::to_string(spareRows) + " sample " + std::to_string(s++));
-    model->generateTracked(rows, fm.cols(), rng, defects, dirty);
+    model->generate(rows, fm.cols(), rng, defects);
     crossbarMatrixInto(defects, cm);
-    ctx.setSample(&defects, &dirty);
     const MappingResult want = textbook.map(fm, cm, *inner, epsilon);
     expectSameResult(mapper.map(fm, cm), want);
     expectSameResult(mapper.map(fm, cm, ctx), want);

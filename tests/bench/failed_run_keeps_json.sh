@@ -1,8 +1,9 @@
 # A JSON-writing suite whose run fails must leave an existing output file
 # untouched: the bench document is buffered and written only after the last
-# cell. Here synthesis fails (exact QM is limited to 12 inputs; t481 has 16)
-# and the driver reports it as a usage-class error. An empty --json path is
-# a failed write: the BENCH grid still runs in full, then exits 2.
+# cell. For the grid, synthesis fails (exact QM is limited to 12 inputs;
+# t481 has 16) and the driver reports it as a usage-class error; the two
+# hand-written suites are interrupted mid-run. An empty --json path is a
+# failed write: the suite still runs in full, then exits 2.
 #
 # Usage: sh failed_run_keeps_json.sh <path-to-mcx_bench>
 set -u
@@ -28,4 +29,18 @@ code=$?
 [ "$code" -eq 2 ] || fail "empty --json path: expected exit 2, got $code"
 grep -q "^mcx_bench multilevel: cannot write ''" "$DIR/err.txt" ||
   fail "empty --json path: missing 'mcx_bench multilevel: cannot write' message"
+for suite in ablation-optimality ablation-approx; do
+  # Far more samples than 1 s covers: the interrupt lands mid-run.
+  timeout -s INT 1 "$BENCH" "$suite" --samples 20000 --json "$DIR/f.json" \
+    > "$DIR/out.txt" 2> "$DIR/err.txt"
+  code=$?
+  [ "$code" -eq 124 ] || fail "$suite: expected the interrupt (124), got $code"
+  cmp -s "$DIR/f.json" "$DIR/before.json" || fail "$suite: f.json was modified"
+
+  "$BENCH" "$suite" --samples 3 --json "" > "$DIR/out.txt" 2> "$DIR/err.txt"
+  code=$?
+  [ "$code" -eq 2 ] || fail "$suite: empty --json path: expected exit 2, got $code"
+  grep -q "^mcx_bench $suite: cannot write ''" "$DIR/err.txt" ||
+    fail "$suite: empty --json path: missing 'mcx_bench $suite: cannot write' message"
+done
 echo "PASS"

@@ -135,6 +135,7 @@ MappingResult referenceColPerm(const FunctionMatrix& fm, const BitMatrix& cm, co
 TEST(ColumnPermutationMapper, ZeroSparesReplayTheInputPermutationSearch) {
   Rng rng(0xc01);
   std::size_t restartWins = 0, failures = 0;
+  MappingContext engineCtx;  // the engine's path: buffers reused across samples
   for (int rep = 0; rep < 300; ++rep) {
     RandomSopOptions sop;
     sop.nin = 3 + rng.uniformInt(0, 4);
@@ -143,17 +144,13 @@ TEST(ColumnPermutationMapper, ZeroSparesReplayTheInputPermutationSearch) {
     const FunctionMatrix fm = buildFunctionMatrix(randomSop(sop, rng));
     // Spare rows only: a taller CM, no wider, so no pair choice.
     const IidBernoulli model(0.08 + 0.04 * (rep % 4), rep % 5 == 0 ? 0.005 : 0.0);
-    DefectMap defects;
-    DirtyRows dirty;
-    model.generateTracked(fm.rows() + rng.uniformInt(0, 2), fm.cols(), rng, defects, dirty);
-    const BitMatrix cm = crossbarMatrix(defects);
+    const BitMatrix cm =
+        crossbarMatrix(model.sample(fm.rows() + rng.uniformInt(0, 2), fm.cols(), rng));
     const ColumnPermutationOptions opts{8, static_cast<std::uint64_t>(rep)};
     for (const std::shared_ptr<const IMapper>& inner :
          {std::shared_ptr<const IMapper>(std::make_shared<HybridMapper>()),
           std::shared_ptr<const IMapper>(std::make_shared<GreedyMapper>())}) {
       const MappingResult want = referenceColPerm(fm, cm, *inner, opts);
-      MappingContext engineCtx;  // the engine's path: incremental adjacency
-      engineCtx.setSample(&defects, &dirty);
       const ColumnPermutationMapper mapper(opts, inner);
       for (const MappingResult& got : {mapper.map(fm, cm), mapper.map(fm, cm, engineCtx)}) {
         EXPECT_EQ(got.success, want.success) << rep;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "logic/sop_parser.hpp"
 #include "scenario/defect_model.hpp"
 #include "util/rng.hpp"
@@ -27,22 +30,11 @@ TEST(MatchingMatrix, ZeroMeansCompatible) {
   fm.set(0, 0);
   fm.set(1, 2);
   cm.reset(0, 0);  // kills fm row 0 on cm row 0
-  const CostMatrix m = buildMatchingMatrix(fm, {0, 1}, cm, {0, 1});
+  const CostMatrix m = buildMatchingMatrix(buildCandidateAdjacency(fm, cm));
   EXPECT_EQ(m.at(0, 0), 1);
   EXPECT_EQ(m.at(0, 1), 0);
   EXPECT_EQ(m.at(1, 0), 0);
   EXPECT_EQ(m.at(1, 1), 0);
-}
-
-TEST(MatchingMatrix, RowSubsets) {
-  BitMatrix fm(3, 2), cm(3, 2, true);
-  fm.set(2, 1);
-  cm.reset(0, 1);
-  const CostMatrix m = buildMatchingMatrix(fm, {2}, cm, {0, 2});
-  EXPECT_EQ(m.rows(), 1u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_EQ(m.at(0, 0), 1);
-  EXPECT_EQ(m.at(0, 1), 0);
 }
 
 TEST(VerifyMapping, AcceptsValidRejectsInvalid) {
@@ -115,24 +107,6 @@ TEST(CandidateAdjacency, AgreesWithRowMatches) {
   }
 }
 
-TEST(MatchingMatrix, AdjacencyOverloadMatchesDirectConstruction) {
-  Rng rng(5);
-  BitMatrix fm(4, 9), cm(6, 9);
-  for (std::size_t r = 0; r < fm.rows(); ++r)
-    for (std::size_t c = 0; c < fm.cols(); ++c) fm.set(r, c, rng.bernoulli(0.3));
-  for (std::size_t r = 0; r < cm.rows(); ++r)
-    for (std::size_t c = 0; c < cm.cols(); ++c) cm.set(r, c, rng.bernoulli(0.7));
-  std::vector<std::size_t> fmRows{0, 1, 2, 3}, cmRows{0, 1, 2, 3, 4, 5};
-  const CostMatrix direct = buildMatchingMatrix(fm, fmRows, cm, cmRows);
-  const CostMatrix viaAdj =
-      buildMatchingMatrix(buildCandidateAdjacency(fm, fmRows, cm, cmRows));
-  ASSERT_EQ(direct.rows(), viaAdj.rows());
-  ASSERT_EQ(direct.cols(), viaAdj.cols());
-  for (std::size_t i = 0; i < direct.rows(); ++i)
-    for (std::size_t j = 0; j < direct.cols(); ++j)
-      EXPECT_EQ(direct.at(i, j), viaAdj.at(i, j));
-}
-
 TEST(FeasibleAssignment, HopcroftKarpAgreesWithMunkresOnRandomMatrices) {
   // Property: on a random 0/1 adjacency, the Hopcroft-Karp fast path reports
   // feasible exactly when Munkres finds a zero-cost assignment.
@@ -166,12 +140,9 @@ TEST(FeasibleAssignment, HopcroftKarpAgreesWithMunkresOnRandomMatrices) {
 }
 
 TEST(CandidateAdjacency, ZeroColumnRowsFitEverything) {
-  // Empty rows are subsets of anything: both overloads must agree.
+  // Empty rows are subsets of anything.
   const BitMatrix fm(3, 0), cm(4, 0);
-  const BitMatrix full = buildCandidateAdjacency(fm, cm);
-  EXPECT_EQ(full.count(), 3u * 4u);
-  const BitMatrix subset = buildCandidateAdjacency(fm, {0, 2}, cm, {1, 3});
-  EXPECT_EQ(subset.count(), 2u * 2u);
+  EXPECT_EQ(buildCandidateAdjacency(fm, cm).count(), 3u * 4u);
 }
 
 TEST(FeasibleAssignment, EmptyRowFailsBeforeSolving) {
@@ -185,13 +156,86 @@ TEST(FeasibleAssignment, MoreRowsThanColumnsIsInfeasible) {
   EXPECT_FALSE(solveFeasibleAssignment(adjacency).success);
 }
 
-// --- MappingContext: incremental adjacency ---------------------------------
+// --- The one candidate-adjacency kernel -------------------------------------
+
+/// Per-pair reference: bit (i, j) set iff rowMatches(fm, i, cm, j).
+BitMatrix rowMatchesAdjacency(const BitMatrix& fm, const BitMatrix& cm) {
+  BitMatrix reference(fm.rows(), cm.rows());
+  for (std::size_t i = 0; i < fm.rows(); ++i)
+    for (std::size_t j = 0; j < cm.rows(); ++j)
+      if (rowMatches(fm, i, cm, j)) reference.set(i, j);
+  return reference;
+}
+
+TEST(CandidateAdjacency, MatchesRowMatchesOnEngineSamples) {
+  // Both entry points against the per-pair rule, bit for bit (BitMatrix ==
+  // compares whole words, padding included), on CMs drawn the engine's way:
+  // model.generate, then crossbarMatrixInto with its stuck-closed row and
+  // column poisoning. One context serves every case, one FM object is
+  // mutated in place, and each shape gets a second sample, so a stale
+  // reused buffer would show.
+  Rng rng(53);
+  MappingContext ctx;
+  BitMatrix fm, cm;
+  DefectMap defects;
+  std::size_t poisoned = 0;
+  std::vector<std::size_t> wordsSeen(4, 0);
+  for (int rep = 0; rep < 240; ++rep) {
+    const std::size_t fmRows = 1 + rng.uniformInt(0, 150);
+    const std::size_t cols = rep % 40 == 0 ? 0 : 1 + rng.uniformInt(0, 138);
+    const std::size_t cmRows =
+        rep % 4 == 0 ? 64 * (1 + rep / 4 % 3) : 1 + rng.uniformInt(0, 191);
+    fm.reshape(fmRows, cols);
+    const double density = 0.02 + 0.2 * rng.uniform();
+    for (std::size_t r = 0; r < fmRows; r += 1 + r % 3)  // skipped rows stay empty
+      for (std::size_t c = 0; c < cols; ++c)
+        if (rng.bernoulli(density)) fm.set(r, c);
+    const double open = 0.3 * rng.uniform();
+    const double closed = rep % 2 == 0 ? 0.05 * rng.uniform() : 0.0;
+    const auto drawCm = [&] {
+      if (rep % 3 == 0)
+        IidBernoulli(open, closed).generate(cmRows, cols, rng, defects);
+      else
+        SparseIidBernoulli(open, closed).generate(cmRows, cols, rng, defects);
+      crossbarMatrixInto(defects, cm);
+      if (defects.stuckClosedCount() > 0) ++poisoned;
+    };
+    const std::string where = "rep=" + std::to_string(rep) + " fm=" + std::to_string(fmRows) +
+                              "x" + std::to_string(cols) + " cm rows=" + std::to_string(cmRows);
+    ++wordsSeen[(cmRows + 63) / 64];
+
+    drawCm();
+    const BitMatrix reference = rowMatchesAdjacency(fm, cm);
+    ASSERT_EQ(buildCandidateAdjacency(fm, cm), reference) << where;
+    ASSERT_EQ(ctx.candidateAdjacency(fm, cm), reference) << where;
+
+    for (int flip = 0; flip < 8 && cols > 0; ++flip) {
+      const std::size_t r = rng.uniformInt(0, fmRows - 1);
+      const std::size_t c = rng.uniformInt(0, cols - 1);
+      fm.set(r, c, !fm.test(r, c));
+    }
+    ASSERT_EQ(ctx.candidateAdjacency(fm, cm), rowMatchesAdjacency(fm, cm))
+        << where << ", FM mutated in place";
+
+    drawCm();
+    ASSERT_EQ(ctx.candidateAdjacency(fm, cm), rowMatchesAdjacency(fm, cm))
+        << where << ", next sample of the same shape";
+  }
+  EXPECT_GT(poisoned, 0u);
+  for (std::size_t words = 1; words <= 3; ++words)
+    EXPECT_GT(wordsSeen[words], 0u) << words << "-word adjacency rows";
+}
+
+
+// --- MappingContext: reused buffers ------------------------------------------
 
 TEST(MappingContext, IncrementalAdjacencyBitIdenticalToFullRebuild) {
-  // The context's defect-driven rebuild must agree with the full
-  // word-parallel fit-test build on every sample — including stuck-closed
-  // poisoning, empty FM rows, and dimensions straddling word boundaries.
+  // The context's reused-buffer build must agree with a fresh
+  // buildCandidateAdjacency on every sample — including stuck-closed
+  // poisoning, empty FM rows, and dimensions straddling word boundaries —
+  // while the same context serves shapes that grow and shrink.
   Rng rng(53);
+  MappingContext ctx;
   for (int rep = 0; rep < 400; ++rep) {
     const std::size_t fmRows = 1 + rng.uniformInt(0, 40);
     const std::size_t cols = 1 + rng.uniformInt(0, 130);
@@ -202,63 +246,30 @@ TEST(MappingContext, IncrementalAdjacencyBitIdenticalToFullRebuild) {
         if (rng.bernoulli(0.1)) fm.set(r, c);  // leaves some rows all-zero
     const double open = rng.uniform() * 0.3;
     const double closed = rng.bernoulli(0.5) ? rng.uniform() * 0.05 : 0.0;
-    const IidBernoulli model(open, closed);
     DefectMap defects;
-    DirtyRows dirty;
-    model.generateTracked(cmRows, cols, rng, defects, dirty);
+    IidBernoulli(open, closed).generate(cmRows, cols, rng, defects);
     BitMatrix cm;
     crossbarMatrixInto(defects, cm);
 
     const BitMatrix full = buildCandidateAdjacency(fm, cm);
-    MappingContext ctx;
-    ctx.setSample(&defects, &dirty);
-    const BitMatrix& incremental = ctx.candidateAdjacency(fm, cm);
-    ASSERT_EQ(full, incremental) << "rep=" << rep << " fm=" << fmRows << "x" << cols
-                                 << " closed=" << defects.stuckClosedCount();
+    ASSERT_EQ(full, ctx.candidateAdjacency(fm, cm))
+        << "rep=" << rep << " fm=" << fmRows << "x" << cols
+        << " closed=" << defects.stuckClosedCount();
   }
 }
 
-TEST(MappingContext, UnregisteredSampleFallsBackToFullRebuild) {
-  BitMatrix fm(3, 10), cm(4, 10, true);
-  fm.set(0, 7);
-  cm.reset(2, 7);
-  MappingContext ctx;  // no setSample
-  const BitMatrix& adjacency = ctx.candidateAdjacency(fm, cm);
-  EXPECT_EQ(adjacency, buildCandidateAdjacency(fm, cm));
-}
-
-TEST(MappingContext, MarkAllDirtyRowsForceFullRebuild) {
-  Rng rng(57);
-  const IidBernoulli model(0.15, 0.0);
-  DefectMap defects = model.sample(6, 20, rng);
-  BitMatrix cm;
-  crossbarMatrixInto(defects, cm);
-  BitMatrix fm(5, 20);
-  fm.set(1, 3);
-  fm.set(4, 17);
-  DirtyRows dirty;
-  dirty.markAll();
-  MappingContext ctx;
-  ctx.setSample(&defects, &dirty);
-  EXPECT_EQ(ctx.candidateAdjacency(fm, cm), buildCandidateAdjacency(fm, cm));
-}
-
 TEST(MappingContext, RebindsWhenFmContentChangesAtTheSameAddress) {
-  // The per-FM column index is keyed on (address, dims, content hash): the
-  // worst case for an address-only key is the same object mutated in place
-  // (or a new FM reallocated at the old one's address), where a stale index
-  // would be served silently.
+  // The worst case for a reused context is the same FM object mutated in
+  // place (or a new FM reallocated at the old one's address): nothing
+  // derived from the previous FM may be served again.
   Rng rng(61);
-  const IidBernoulli model(0.2, 0.02);
   DefectMap defects;
-  DirtyRows dirty;
-  model.generateTracked(8, 40, rng, defects, dirty);
+  IidBernoulli(0.2, 0.02).generate(8, 40, rng, defects);
   BitMatrix cm;
   crossbarMatrixInto(defects, cm);
   BitMatrix fm(6, 40);
   for (std::size_t c = 0; c < 40; c += 3) fm.set(1, c);
   MappingContext ctx;
-  ctx.setSample(&defects, &dirty);
   EXPECT_EQ(ctx.candidateAdjacency(fm, cm), buildCandidateAdjacency(fm, cm));
   // Same address, same dims, different bits: the context must notice.
   for (std::size_t c = 0; c < 40; c += 2) fm.set(4, c);

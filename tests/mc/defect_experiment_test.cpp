@@ -199,9 +199,9 @@ TEST(DefectExperiment, ResultsAreIdenticalAtAnyThreadCountForNonIidModels) {
 TEST(DefectExperiment, MatchesRederivedSampleStreams) {
   // Sample s of a run is drawn from splitSampleStreams(seed, n)[s]: a
   // caller re-deriving it through DefectModel::sample sees the engine's
-  // crossbar, and the engine's context path (incremental adjacency) must
-  // reproduce the plain mapper.map() on it exactly. Checked for the legacy
-  // sampler and the sparse one.
+  // crossbar, and the engine's reused per-worker contexts must reproduce
+  // the plain mapper.map() on it exactly. Checked for the legacy sampler
+  // and the sparse one.
   const std::vector<std::shared_ptr<const DefectModel>> models = {
       std::make_shared<IidBernoulli>(0.15),
       std::make_shared<SparseIidBernoulli>(0.15, 0.01),

@@ -139,40 +139,6 @@ TEST(SparseIidBernoulli, MixedRatesSplitTypesByShare) {
   EXPECT_NEAR(static_cast<double>(closed) / total, 0.10, 0.02);
 }
 
-TEST(SparseIidBernoulli, TracksExactlyTheDefectiveRows) {
-  const SparseIidBernoulli model(0.04, 0.01);
-  Rng rng(11);
-  DefectMap map;
-  DirtyRows dirty;
-  model.generateTracked(40, 70, rng, map, dirty);
-  EXPECT_FALSE(dirty.all);
-  EXPECT_EQ(dirty.stuckOpen, map.stuckOpenCount());
-  EXPECT_EQ(dirty.stuckClosed, map.stuckClosedCount());
-  std::vector<std::size_t> expected;
-  for (std::size_t r = 0; r < map.rows(); ++r) {
-    bool any = false;
-    for (std::size_t c = 0; c < map.cols(); ++c)
-      any = any || map.type(r, c) != DefectType::None;
-    if (any) expected.push_back(r);
-  }
-  EXPECT_EQ(dirty.rows, expected);
-}
-
-TEST(SparseIidBernoulli, TrackedAndUntrackedDrawIdentically) {
-  // generate() and generateTracked() must consume the stream identically
-  // (the engine calls generateTracked, callers re-deriving a sample call
-  // generate through DefectModel::sample).
-  const SparseIidBernoulli model(0.08, 0.02);
-  Rng a(13), b(13);
-  DefectMap viaGenerate;
-  model.generate(33, 55, a, viaGenerate);
-  DefectMap viaTracked;
-  DirtyRows dirty;
-  model.generateTracked(33, 55, b, viaTracked, dirty);
-  EXPECT_TRUE(sameMap(viaGenerate, viaTracked));
-  EXPECT_EQ(a(), b());
-}
-
 TEST(SparseIidBernoulli, DenseRatesFallBackToTheLegacySweep) {
   // Above the cutoff the rejection loop stops paying; the model must fall
   // back to the parent's draw-for-draw dense sweep.
@@ -182,28 +148,6 @@ TEST(SparseIidBernoulli, DenseRatesFallBackToTheLegacySweep) {
   Rng a(17), b(17);
   EXPECT_TRUE(sameMap(sparse.sample(30, 41, a), dense.sample(30, 41, b)));
   EXPECT_EQ(a(), b());
-}
-
-TEST(DefectModels, DefaultGenerateTrackedScansTheFinishedMap) {
-  // Dense models get dirty-row tracking for free via the base-class scan.
-  ClusteredDefects::Params p;
-  p.clusterDensity = 2e-3;
-  const ClusteredDefects model(p);
-  Rng a(19), b(19);
-  DefectMap viaGenerate;
-  model.generate(48, 48, a, viaGenerate);
-  DefectMap viaTracked;
-  DirtyRows dirty;
-  model.generateTracked(48, 48, b, viaTracked, dirty);
-  EXPECT_TRUE(sameMap(viaGenerate, viaTracked));
-  EXPECT_FALSE(dirty.all);
-  EXPECT_EQ(dirty.stuckOpen, viaTracked.stuckOpenCount());
-  for (const std::size_t r : dirty.rows) {
-    std::size_t defects = 0;
-    for (std::size_t c = 0; c < 48; ++c)
-      defects += viaTracked.type(r, c) != DefectType::None ? 1 : 0;
-    EXPECT_GT(defects, 0u) << "row " << r;
-  }
 }
 
 // --- ClusteredDefects ------------------------------------------------------

@@ -17,7 +17,7 @@ namespace {
 
 /// Returns the number of Lemire rejections the sample took.
 std::size_t referenceSample(std::size_t rows, std::size_t cols, double open, double closed,
-                            Rng& rng, DefectMap& out, DirtyRows& dirty) {
+                            Rng& rng, DefectMap& out) {
   out.reshape(rows, cols);
   const double total = open + closed;
   const std::uint64_t count = rng.binomial(
@@ -58,7 +58,6 @@ std::size_t referenceSample(std::size_t rows, std::size_t cols, double open, dou
       break;
     }
   }
-  dirty.scan(out);
   return rejections;
 }
 
@@ -69,20 +68,15 @@ std::size_t expectStreamIdentical(std::size_t rows, std::size_t cols, double ope
   const SparseIidBernoulli model(open, closed);
   Rng rng(0x5eed0000 + rows * 7 + cols), ref = rng;
   DefectMap got, want;
-  DirtyRows gotDirty, wantDirty;
   std::size_t rejections = 0;
   for (std::size_t s = 0; s < samples; ++s) {
     SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) + " open=" +
                  std::to_string(open) + " closed=" + std::to_string(closed) +
                  " sample " + std::to_string(s));
-    model.generateTracked(rows, cols, rng, got, gotDirty);
-    rejections += referenceSample(rows, cols, open, closed, ref, want, wantDirty);
+    model.generate(rows, cols, rng, got);
+    rejections += referenceSample(rows, cols, open, closed, ref, want);
     EXPECT_EQ(got.openBits(), want.openBits());
     EXPECT_EQ(got.closedBits(), want.closedBits());
-    EXPECT_EQ(gotDirty.all, wantDirty.all);
-    EXPECT_EQ(gotDirty.rows, wantDirty.rows);
-    EXPECT_EQ(gotDirty.stuckOpen, wantDirty.stuckOpen);
-    EXPECT_EQ(gotDirty.stuckClosed, wantDirty.stuckClosed);
     Rng probeGot = rng, probeWant = ref;
     EXPECT_EQ(probeGot(), probeWant());
     if (::testing::Test::HasFailure()) break;
