@@ -5,16 +5,13 @@
 // suite list and the registry listing flags.
 //
 // MCX_TRACE=<path> arms Chrome trace_event output for any suite (the spans
-// in the synthesis front-end, MC engine and executor pool light up);
-// MCX_PROFILE=1 arms the gated hot-path profiling counters.
+// in the synthesis front-end, MC engine and executor pool light up).
 #include <iostream>
 
 #include "api/driver.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 int main(int argc, char** argv) {
   mcx::obs::armTraceFromEnv();
-  mcx::obs::armProfilingFromEnv();
   return mcx::bench::Driver::global().run(argc, argv, std::cout, std::cerr);
 }

@@ -8,10 +8,9 @@
 //
 // The scenario extension the paper's figure lacks: each sample's two-level
 // and multi-level implementations are also mapped against defect maps from
-// a scenario (--scenario preset name or JSON spec, env MCX_AREA_SCENARIO,
-// default paper-iid at 10%), so the table shows the area/yield tradeoff
+// a scenario (--scenario preset name or JSON spec, default paper-iid at
+// 10%), so the table shows the area/yield tradeoff
 // next to the area win rate.
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <vector>
@@ -31,14 +30,14 @@ int runFig6(const std::vector<std::string>& args) {
   using namespace mcx;
 
   bench::CommonOptions common;
-  std::string scenarioArg;
+  std::string scenarioArg = "paper-iid";
   std::vector<std::string> referenceSpecs;
   double rate = 0.10;
   cli::ArgParser parser("mcx_bench fig6",
                         "Figure 6: two-level vs multi-level area on random functions");
   common.addSamplesTo(parser);
   parser.add("--scenario", &scenarioArg, "NAME|SPEC",
-             "defect scenario for the yield columns (env MCX_AREA_SCENARIO)");
+             "defect scenario for the yield columns (default paper-iid)");
   parser.add("--rate", &rate, "R", "scenario defect budget (default 0.10)");
   parser.addCallback("--circuit-spec", "NAME|SPEC",
                      "add a declared circuit as a reference row next to the random-"
@@ -56,10 +55,6 @@ int runFig6(const std::vector<std::string>& args) {
   if (const auto code = bench::parseSuiteArgs(parser, args)) return *code;
 
   const std::size_t samples = common.samplesOr(200);
-  if (scenarioArg.empty()) {
-    const char* env = std::getenv("MCX_AREA_SCENARIO");
-    scenarioArg = (env != nullptr && *env != '\0') ? env : "paper-iid";
-  }
   const std::shared_ptr<const DefectModel> scenario = makeScenario(scenarioArg, rate);
   std::cout << "Figure 6: two-level vs multi-level area cost, random functions, "
             << samples << " samples per input size\n";

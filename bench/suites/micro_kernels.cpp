@@ -2,7 +2,7 @@
 // row matching, matching-matrix construction, Munkres, tautology checking,
 // complement, ISOP, espresso, factoring, end-to-end HBA/EA mapping, and the
 // three layers of the Monte Carlo hot path (legacy vs sparse sampling, the
-// candidate adjacency, cold vs warm-started Hopcroft-Karp) on the bw
+// candidate adjacency, Hopcroft-Karp) on the bw
 // multi-level workload at the paper's 10% stuck-open rate, the approx
 // mapper's rescue of inner-mapper failures, plus the memoized synthesis
 // front-end (full pipeline compile vs cache hit), and the telemetry layer's
@@ -190,23 +190,12 @@ void BM_Adjacency(benchmark::State& state) {
 }
 BENCHMARK(BM_Adjacency);
 
-void BM_MatchingColdStart(benchmark::State& state) {
+void BM_HopcroftKarp(benchmark::State& state) {
   const BwDeck& deck = bwDeck();
   std::size_t i = 0;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        hopcroftKarp(deck.adjacency[i++ % BwDeck::kSize], /*warmStart=*/false));
+  for (auto _ : state) benchmark::DoNotOptimize(hopcroftKarp(deck.adjacency[i++ % BwDeck::kSize]));
 }
-BENCHMARK(BM_MatchingColdStart);
-
-void BM_MatchingWarmStart(benchmark::State& state) {
-  const BwDeck& deck = bwDeck();
-  std::size_t i = 0;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        hopcroftKarp(deck.adjacency[i++ % BwDeck::kSize], /*warmStart=*/true));
-}
-BENCHMARK(BM_MatchingWarmStart);
+BENCHMARK(BM_HopcroftKarp);
 
 void BM_MapHba(benchmark::State& state) {
   const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
@@ -306,7 +295,6 @@ BENCHMARK(BM_ObsHistogramRecord);
 // The cost left in an instrumented hot path when nothing is armed: the
 // constructor's relaxed load + branch, no clock reads.
 void BM_ObsSpanDisarmed(benchmark::State& state) {
-  obs::setProfiling(false);
   for (auto _ : state) {
     obs::Span span("bench_disarmed");
     benchmark::DoNotOptimize(&span);
@@ -323,13 +311,6 @@ void BM_ObsSpanHistogram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsSpanHistogram);
-
-// The profilingArmed() gate itself, as used by the HK hooks.
-void BM_ObsProfilingGate(benchmark::State& state) {
-  obs::setProfiling(false);
-  for (auto _ : state) benchmark::DoNotOptimize(obs::profilingArmed());
-}
-BENCHMARK(BM_ObsProfilingGate);
 
 // Google Benchmark owns this suite's flag grammar (--benchmark_filter,
 // --benchmark_min_time, ...): args are forwarded verbatim instead of going

@@ -9,8 +9,8 @@
 // One BENCH grid: every cell runs the threads sweep (1/2/4/hw), success
 // counts and row assignments must be identical at every thread count (the
 // engine's determinism contract), and the cells with their wall-clock per
-// thread count are written as BENCH_defect_mc.json (--json /
-// MCX_BENCH_JSON) to track the perf trajectory.
+// thread count are written as BENCH_defect_mc.json (--json) to track the
+// perf trajectory.
 #include <iostream>
 #include <utility>
 #include <vector>

@@ -4,8 +4,8 @@
 // One BENCH grid with the HBA mapper: every cell runs the threads sweep
 // (1/2/4/hw) and asserts bit-identical outcomes — the engine's determinism
 // contract must hold for every DefectModel, not just the paper's i.i.d.
-// world. Results are emitted as machine-readable JSON (MCX_BENCH_JSON,
-// default BENCH_scenarios.json). Each cell also carries the analytic
+// world. Results are emitted as machine-readable JSON (--json, default
+// BENCH_scenarios.json). Each cell also carries the analytic
 // i.i.d. yield estimate (src/mc/yield_model.hpp) at the cell's rate: it
 // tracks the Monte Carlo result under paper-iid and visibly diverges under
 // the correlated models (clustering concentrates damage on few rows, line
@@ -22,8 +22,7 @@
 //   {"scenarios": ["clustered", {"model": "lines", "rowClosed": 0.05}],
 //    "rates": [0.02, 0.10], "circuits": ["rd53"], "samples": 100, "seed": 7}
 // Scenario entries are preset names or inline model specs (see
-// src/scenario/registry.hpp for the spec grammar). Env knobs MCX_SAMPLES
-// and MCX_BENCH_JSON apply when the flags are absent.
+// src/scenario/registry.hpp for the spec grammar).
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -34,7 +33,6 @@
 #include "mc/yield_model.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/text_table.hpp"
 
@@ -133,7 +131,7 @@ int runScenarios(const std::vector<std::string>& args) {
   grid.bench = "scenario_runner";
   grid.circuits = {"rd53", "misex1"};
   grid.mappers = {"hba"};
-  grid.samples = envSizeT("MCX_SAMPLES", 60);
+  grid.samples = 60;
   grid.seed = 0x5ce7a210;
   bench::CommonOptions common;
 
@@ -172,8 +170,7 @@ int runScenarios(const std::vector<std::string>& args) {
   parser.addAction("--list", "list the scenario presets", bench::listScenarios);
   if (const auto code = bench::parseSuiteArgs(parser, args)) return *code;
 
-  // Explicit flags beat --sweep members beat the env/default (the grid
-  // initializer already folded MCX_SAMPLES in, so only a real flag wins).
+  // Explicit flags beat --sweep members beat the defaults.
   if (common.samples.has_value()) grid.samples = *common.samples;
   if (common.seed.has_value()) grid.seed = *common.seed;
   grid.json = common.jsonOr("BENCH_scenarios.json");

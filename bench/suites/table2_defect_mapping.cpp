@@ -4,7 +4,7 @@
 //
 // One BENCH grid: every cell runs the threads sweep (1/2/4/hw), identical
 // success counts and row assignments are asserted, and the cells are
-// written as BENCH_table2_defect_mc.json (--json / MCX_BENCH_JSON).
+// written as BENCH_table2_defect_mc.json (--json).
 #include <algorithm>
 #include <iostream>
 #include <vector>

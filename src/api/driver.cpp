@@ -7,7 +7,6 @@
 #include "circuit/registry.hpp"
 #include "map/registry.hpp"
 #include "scenario/registry.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mcx::bench {
@@ -20,7 +19,7 @@ void CommonOptions::addTo(cli::ArgParser& parser) {
 }
 
 void CommonOptions::addSamplesTo(cli::ArgParser& parser) {
-  parser.add("--samples", &samples, "N", "Monte Carlo samples per cell (env MCX_SAMPLES)");
+  parser.add("--samples", &samples, "N", "Monte Carlo samples per cell");
 }
 
 void CommonOptions::addSeedTo(cli::ArgParser& parser) {
@@ -32,11 +31,11 @@ void CommonOptions::addThreadsTo(cli::ArgParser& parser) {
 }
 
 void CommonOptions::addJsonTo(cli::ArgParser& parser) {
-  parser.add("--json", &json, "PATH", "machine-readable output path (env MCX_BENCH_JSON)");
+  parser.add("--json", &json, "PATH", "machine-readable output path");
 }
 
 std::size_t CommonOptions::samplesOr(std::size_t fallback) const {
-  return samples.value_or(envSizeT("MCX_SAMPLES", fallback));
+  return samples.value_or(fallback);
 }
 
 std::uint64_t CommonOptions::seedOr(std::uint64_t fallback) const {
@@ -48,9 +47,7 @@ std::size_t CommonOptions::threadsOr(std::size_t fallback) const {
 }
 
 std::string CommonOptions::jsonOr(const std::string& fallback) const {
-  if (json.has_value()) return *json;
-  const char* env = std::getenv("MCX_BENCH_JSON");
-  return (env != nullptr && *env != '\0') ? env : fallback;
+  return json.value_or(fallback);
 }
 
 Driver& Driver::global() {

@@ -30,10 +30,8 @@ struct Suite {
 };
 
 /// Flags shared by (almost) every suite: registered into the suite's
-/// ArgParser with addTo(), resolved with the *Or accessors. samplesOr and
-/// jsonOr honor the historical env knobs (flag beats MCX_SAMPLES /
-/// MCX_BENCH_JSON beats the suite's default); seedOr/threadsOr have no env
-/// counterpart — flag or fallback.
+/// ArgParser with addTo(), resolved with the *Or accessors: the flag when
+/// given, else the suite's default.
 struct CommonOptions {
   std::optional<std::size_t> samples;
   std::optional<std::uint64_t> seed;
@@ -46,10 +44,10 @@ struct CommonOptions {
   void addSeedTo(cli::ArgParser& parser);
   void addThreadsTo(cli::ArgParser& parser);
   void addJsonTo(cli::ArgParser& parser);
-  std::size_t samplesOr(std::size_t fallback) const;      ///< --samples, MCX_SAMPLES, fallback
+  std::size_t samplesOr(std::size_t fallback) const;      ///< --samples, fallback
   std::uint64_t seedOr(std::uint64_t fallback) const;     ///< --seed, fallback
   std::size_t threadsOr(std::size_t fallback = 0) const;  ///< --threads, fallback (0 = hw)
-  std::string jsonOr(const std::string& fallback) const;  ///< --json, MCX_BENCH_JSON, fallback
+  std::string jsonOr(const std::string& fallback) const;  ///< --json, fallback
 };
 
 class Driver {

@@ -1,10 +1,10 @@
-// Hopcroft-Karp maximum bipartite matching.
+// Hopcroft-Karp maximum bipartite matching over a bit-matrix adjacency.
 //
 // The paper decides mapping validity through a zero-cost Munkres assignment
 // (O(n^3)). Validity is really a perfect-matching question, which
-// Hopcroft-Karp answers in O(E sqrt(V)) — the basis of the FastExactMapper
-// extension (map/fast_exact_mapper.hpp) that keeps EA's exactness at a
-// fraction of its runtime.
+// Hopcroft-Karp answers in O(E sqrt(V)) — the one exact verdict behind
+// solveFeasibleAssignment (EA, fast-ea and HBA's second phase); Munkres stays
+// as its cross-check.
 #pragma once
 
 #include <cstddef>
@@ -13,21 +13,6 @@
 #include "util/bit_matrix.hpp"
 
 namespace mcx {
-
-class BipartiteGraph {
-public:
-  BipartiteGraph(std::size_t numLeft, std::size_t numRight);
-
-  void addEdge(std::size_t left, std::size_t right);
-
-  std::size_t numLeft() const { return adj_.size(); }
-  std::size_t numRight() const { return numRight_; }
-  const std::vector<std::size_t>& neighbors(std::size_t left) const;
-
-private:
-  std::size_t numRight_;
-  std::vector<std::vector<std::size_t>> adj_;
-};
 
 struct MatchingResult {
   /// Size of the maximum matching.
@@ -39,24 +24,17 @@ struct MatchingResult {
   bool perfectForLeft(std::size_t numLeft) const { return size == numLeft; }
 };
 
-/// Maximum matching via Hopcroft-Karp. The same warm-start contract as the
-/// bit-matrix overload below: the greedy seed changes which maximum
-/// matching is returned, never its size.
-MatchingResult hopcroftKarp(const BipartiteGraph& graph, bool warmStart = true);
-
-/// Maximum matching directly on a bit-matrix adjacency (left vertex = row,
-/// right vertex = column). Neighbor lists are walked word-at-a-time with
-/// countr_zero, so no per-edge adjacency structure is ever materialized —
-/// the fast path for the crossbar row-matching feasibility question.
+/// Maximum matching on a bit-matrix adjacency (left vertex = row, right
+/// vertex = column). Neighbor lists are walked word-at-a-time with
+/// countr_zero, so no per-edge adjacency structure is ever materialized.
 ///
-/// With @p warmStart (the default) the phases are seeded with a greedy
-/// maximal matching — each left vertex takes its first free neighbor — so
-/// augmentation only runs for the leftovers. On the near-clean crossbar
-/// adjacencies of the Monte Carlo sweeps the greedy pass places almost
-/// every FM row (a defect-free CM row accepts any FM row) and the BFS/DFS
-/// phases merely repair around the defective rows. The matching SIZE is
-/// the same either way (Hopcroft-Karp is maximum from any initial
-/// matching); only which maximum matching is returned can differ.
-MatchingResult hopcroftKarp(const BitMatrix& adjacency, bool warmStart = true);
+/// The phases are seeded with a greedy maximal matching — each left vertex
+/// takes its first free neighbor — so augmentation only runs for the
+/// leftovers. On the near-clean crossbar adjacencies of the Monte Carlo
+/// sweeps the greedy pass places almost every FM row (a defect-free CM row
+/// accepts any FM row) and the BFS/DFS phases merely repair around the
+/// defective rows. Hopcroft-Karp is maximum from any initial matching, so
+/// the seed changes which maximum matching is returned, never its size.
+MatchingResult hopcroftKarp(const BitMatrix& adjacency);
 
 }  // namespace mcx

@@ -31,7 +31,10 @@ class HybridMapper final : public IMapper {
 public:
   explicit HybridMapper(HybridMapperOptions opts = {}) : opts_(opts) {}
 
-  std::string name() const override { return opts_.backtracking ? "HBA" : "HBA-nobt"; }
+  std::string name() const override {
+    return std::string("HBA") + (opts_.sortByCandidates ? "" : "-paper") +
+           (opts_.backtracking ? "" : "-nobt");
+  }
   using IMapper::map;
   MappingResult map(const FunctionMatrix& fm, const BitMatrix& cm,
                     MappingContext& ctx) const override;

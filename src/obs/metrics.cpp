@@ -166,21 +166,4 @@ std::string Registry::toJson(bool pretty) const {
   return out.str();
 }
 
-// -------------------------------------------------------- profiling gate
-
-namespace detail {
-std::atomic<bool> profilingArmedFlag{false};
-}  // namespace detail
-
-void setProfiling(bool armed) noexcept {
-  detail::profilingArmedFlag.store(armed, std::memory_order_relaxed);
-}
-
-bool armProfilingFromEnv() {
-  const char* env = std::getenv("MCX_PROFILE");
-  if (env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0'))
-    setProfiling(true);
-  return profilingArmed();
-}
-
 }  // namespace mcx::obs

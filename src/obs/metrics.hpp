@@ -19,11 +19,6 @@
 // reference (entries are never removed, so references stay valid for the
 // process lifetime). Snapshots serialize every metric to JSON in name
 // order; histograms report count/mean/p50/p90/p99/max in milliseconds.
-//
-// profilingArmed() is the hot-path gate: one relaxed load + branch (the
-// faultinject idiom). Ultra-hot instrumentation (per-Hopcroft–Karp-run
-// counters at ~1µs granularity) hides behind it so the disarmed service
-// pays nothing measurable.
 #pragma once
 
 #include <array>
@@ -146,19 +141,5 @@ private:
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
-
-namespace detail {
-extern std::atomic<bool> profilingArmedFlag;
-}  // namespace detail
-
-/// Hot-path gate for per-iteration profiling hooks (HK warm/cold counts).
-/// One relaxed load + predictable branch when disarmed.
-inline bool profilingArmed() noexcept {
-  return detail::profilingArmedFlag.load(std::memory_order_relaxed);
-}
-void setProfiling(bool armed) noexcept;
-/// Arms profiling when MCX_PROFILE is set to a non-empty, non-"0" value.
-/// Returns the resulting armed state.
-bool armProfilingFromEnv();
 
 }  // namespace mcx::obs

@@ -56,7 +56,6 @@ void armTrace(const std::string& path) {
   const std::lock_guard<std::mutex> lock(g_armMutex);
   detail::traceSinkPtr.store(sink.get(), std::memory_order_release);
   g_ownedSink.swap(sink);  // previous sink (if any) flushes + closes here
-  setProfiling(true);
 }
 
 void disarmTrace() {

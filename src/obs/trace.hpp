@@ -72,9 +72,8 @@ inline TraceSink* traceSink() noexcept {
   return detail::traceSinkPtr.load(std::memory_order_acquire);
 }
 
-/// Opens @p path and arms tracing process-wide (also arms profiling, so the
-/// gated hot-path counters light up in the same run). Throws on open
-/// failure. Replaces any previously armed sink.
+/// Opens @p path and arms tracing process-wide. Throws on open failure.
+/// Replaces any previously armed sink.
 void armTrace(const std::string& path);
 /// Unhooks and closes the armed sink (tests; the daemon just exits).
 void disarmTrace();

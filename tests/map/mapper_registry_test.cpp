@@ -26,6 +26,7 @@ TEST(MapperRegistry, FindAndMakeByName) {
   EXPECT_EQ(findMapperPreset("nope"), nullptr);
   EXPECT_EQ(makeMapper("hba")->name(), "HBA");
   EXPECT_EQ(makeMapper("hba-nobt")->name(), "HBA-nobt");
+  EXPECT_EQ(makeMapper("hba-paper")->name(), "HBA-paper");
   EXPECT_EQ(makeMapper("ea")->name(), "EA");
   EXPECT_EQ(makeMapper("ea-munkres")->name(), "EA-munkres");
   EXPECT_EQ(makeMapper("fast-ea")->name(), "EA-fast");
@@ -62,6 +63,9 @@ TEST(MapperRegistry, SatIsAnUnknownNameListingEveryPreset) {
 
 TEST(MapperRegistry, SpecOptionsAreApplied) {
   EXPECT_EQ(makeMapper(R"({"mapper": "hba", "backtracking": false})")->name(), "HBA-nobt");
+  EXPECT_EQ(
+      makeMapper(R"({"mapper":"hba","backtracking":false,"sortByCandidates":false})")->name(),
+      "HBA-paper-nobt");
   EXPECT_EQ(makeMapper(R"({"mapper": "ea", "munkres": true})")->name(), "EA-munkres");
   EXPECT_EQ(makeMapper(R"({"preset": "fast-ea"})")->name(), "EA-fast");
   EXPECT_EQ(makeMapper(R"({"mapper": "colperm", "restarts": 3, "inner": "hba-nobt"})")->name(),

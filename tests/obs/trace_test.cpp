@@ -60,7 +60,6 @@ protected:
   }
   void TearDown() override {
     disarmTrace();
-    setProfiling(false);
     std::remove(path_.c_str());
   }
   std::string path_;
@@ -82,13 +81,6 @@ TEST_F(ObsTrace, HistogramFedSpanRecordsEvenWhenDisarmed) {
   }
   EXPECT_EQ(hist.count(), 1u);
   EXPECT_GE(hist.snapshot().max, 1'000'000u) << "slept >= 1ms";
-}
-
-TEST_F(ObsTrace, ArmingAlsoArmsProfiling) {
-  ASSERT_FALSE(profilingArmed());
-  armTrace(path_);
-  EXPECT_TRUE(traceArmed());
-  EXPECT_TRUE(profilingArmed());
 }
 
 TEST_F(ObsTrace, NestedSpansEmitContainedOrderedEvents) {

@@ -27,7 +27,6 @@
 //     (write-temp-then-rename) every --health-interval seconds; the
 //     `{"type":"health"}` protocol request returns the same payload inline
 //   - MCX_TRACE=<path> arms Chrome trace_event output (chrome://tracing)
-//   - MCX_PROFILE=1 arms the gated hot-path profiling counters
 //
 // Resource governance (all off by default — see --help):
 //   --cache-budget-mb bounds the global circuit cache (LRU eviction),
@@ -505,12 +504,9 @@ int main(int argc, char** argv) {
     std::cerr << "mcx_serve: MCX_FAULTINJECT: " << e.what() << "\n";
     return 2;
   }
-  // MCX_TRACE / MCX_PROFILE arm tracing and hot-path profiling; a periodic
-  // metrics flush arms profiling too so its snapshots carry the gated
-  // counters. Bad trace paths warn and leave tracing off (armTraceFromEnv).
+  // MCX_TRACE arms tracing; bad trace paths warn and leave tracing off
+  // (armTraceFromEnv).
   mcx::obs::armTraceFromEnv();
-  mcx::obs::armProfilingFromEnv();
-  if (metricsInterval > 0) mcx::obs::setProfiling(true);
 
   if (!installSignalHandlers()) {
     std::cerr << "mcx_serve: failed to install signal handlers\n";
