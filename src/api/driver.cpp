@@ -19,7 +19,13 @@ void CommonOptions::addTo(cli::ArgParser& parser) {
 }
 
 void CommonOptions::addSamplesTo(cli::ArgParser& parser) {
-  parser.add("--samples", &samples, "N", "Monte Carlo samples per cell");
+  parser.addCallback("--samples", "N", "Monte Carlo samples per cell",
+                     [this](const std::string& value) {
+                       const std::size_t n =
+                           cli::detail::parseFlagNumber<std::size_t>("--samples", value);
+                       if (n < 1) throw InvalidArgument("--samples: must be at least 1");
+                       samples = n;
+                     });
 }
 
 void CommonOptions::addSeedTo(cli::ArgParser& parser) {

@@ -243,7 +243,7 @@ MappingResult ApproxMapper::rescue(const FunctionMatrix& fm, const BitMatrix& cm
 
   // Realized error from the memoized tables: per output, the OR of the
   // retained cubes' truth tables against the spec's, as care-pair counts
-  // (no don't-cares) — what approx::coverSubsetError reports.
+  // (no don't-cares) — what the functional-error test oracle reports.
   const TruthTable& spec = analysis->specTt;
   std::size_t wrong = 0;
   for (std::size_t o = 0; o < nout; ++o) {

@@ -14,8 +14,8 @@
 // samples. A cube's weight is the number of (minterm, output) care pairs
 // only it covers, and the reported realizedError is counted exactly from
 // the retained cubes' truth tables, memoized per FM with the spec's — the
-// value approx::coverSubsetError (src/approx/error.hpp) reports, never
-// estimated from the weights.
+// value the functional-error test oracle (tests/oracles/functional_error.hpp)
+// reports, never estimated from the weights.
 //
 // Scope: two-level function matrices (numConnectionCols() == 0) with at
 // most 16 inputs — the explicit-truth-table bound. Outside that scope, or

@@ -125,14 +125,15 @@ SynthesizedCover buildSynthesizedCover(const CircuitSpec& spec) {
       on = espressoMinimize(on, dc);
       break;
     case CircuitSpec::Synth::Qm:
-      MCX_REQUIRE(on.nin() <= 12, "circuit spec: synth qm is exact and limited to 12 "
-                                  "inputs (got " + std::to_string(on.nin()) + ")");
+      if (on.nin() > 12)
+        throw ParseError("circuit spec: synth qm is exact and limited to 12 inputs (got " +
+                         std::to_string(on.nin()) + ")");
       on = qmCover(on, dc);
       break;
     case CircuitSpec::Synth::Isop:
-      MCX_REQUIRE(on.nin() <= 16, "circuit spec: synth isop round-trips an explicit "
-                                  "truth table, limited to 16 inputs (got " +
-                                      std::to_string(on.nin()) + ")");
+      if (on.nin() > 16)
+        throw ParseError("circuit spec: synth isop round-trips an explicit truth table, "
+                         "limited to 16 inputs (got " + std::to_string(on.nin()) + ")");
       if (spec.source != CircuitSpec::Source::Generator)
         on = dc.empty() ? isopCover(TruthTable::fromCover(on))
                         : isopCover(TruthTable::fromCover(on), TruthTable::fromCover(dc));

@@ -73,8 +73,8 @@ SynthesizedCover buildSynthesizedCover(const CircuitSpec& spec);
 Circuit realizeCircuit(const CircuitSpec& spec, const SynthesizedCover& synthesized);
 
 /// Compile a spec, uncached (both stages). Throws mcx::ParseError for
-/// unparsable sources, mcx::InvalidArgument for semantically impossible
-/// pipelines (unknown registry name, qm/isop beyond their arity bounds).
+/// unparsable sources and for qm/isop beyond their input bounds (bad
+/// client input), mcx::InvalidArgument for an unknown registry name.
 Circuit buildCircuit(const CircuitSpec& spec);
 
 }  // namespace mcx

@@ -73,14 +73,6 @@ void Cover::removeSingleCubeContained() {
   cubes_ = std::move(kept);
 }
 
-Cover Cover::universe(std::size_t nin, std::size_t nout) {
-  Cover c(nin, nout);
-  Cube u(nin, nout);
-  for (std::size_t o = 0; o < nout; ++o) u.setOut(o);
-  c.add(std::move(u));
-  return c;
-}
-
 std::string Cover::toString() const {
   std::string s;
   for (const Cube& c : cubes_) {

@@ -49,12 +49,6 @@ public:
   /// Remove any cube contained (inputs and outputs) in another single cube.
   void removeSingleCubeContained();
 
-  /// The universe cover: one all-don't-care cube asserting every output.
-  static Cover universe(std::size_t nin, std::size_t nout);
-
-  /// Cover computing the complement on no minterm (empty ON set).
-  static Cover emptyCover(std::size_t nin, std::size_t nout) { return Cover(nin, nout); }
-
   /// PLA-body-style rendering, one cube per line.
   std::string toString() const;
 

@@ -61,7 +61,4 @@ TruthTable adderFunction(std::size_t bits);
 /// instead of breaking correctness outright.
 TruthTable nnLayerFunction(std::size_t nin, std::size_t nout);
 
-/// Random truth table with ON density @p onesDensity per output.
-TruthTable randomTruthTable(std::size_t nin, std::size_t nout, double onesDensity, Rng& rng);
-
 }  // namespace mcx

@@ -33,7 +33,7 @@ Cover parseSop(const std::string& text, std::size_t nin) {
   while (i < text.size()) {
     const char ch = text[i];
     if (ch == '+') {
-      MCX_REQUIRE(!products.back().literals.empty(), "parseSop: empty product before '+'");
+      if (products.back().literals.empty()) throw ParseError("parseSop: empty product before '+'");
       products.emplace_back();
       ++i;
       skipWs();
@@ -62,8 +62,8 @@ Cover parseSop(const std::string& text, std::size_t nin) {
     sawAny = true;
     skipWs();
   }
-  MCX_REQUIRE(sawAny, "parseSop: empty expression");
-  MCX_REQUIRE(!products.back().literals.empty(), "parseSop: trailing '+'");
+  if (!sawAny) throw ParseError("parseSop: empty expression");
+  if (products.back().literals.empty()) throw ParseError("parseSop: trailing '+'");
 
   if (nin == 0) nin = maxVar;
   MCX_REQUIRE(maxVar <= nin, "parseSop: variable index exceeds declared arity");

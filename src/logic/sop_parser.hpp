@@ -16,7 +16,9 @@
 namespace mcx {
 
 /// Parse a single-output SOP over variables x1..x@p nin. If @p nin is 0 the
-/// arity is inferred from the largest variable index used.
+/// arity is inferred from the largest variable index used. Throws
+/// mcx::ParseError on a syntax error, mcx::InvalidArgument when a variable
+/// exceeds a nonzero @p nin.
 Cover parseSop(const std::string& text, std::size_t nin = 0);
 
 }  // namespace mcx

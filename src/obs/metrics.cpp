@@ -64,10 +64,6 @@ void Histogram::recordMillis(double millis) noexcept {
   record(static_cast<std::uint64_t>(millis * 1e6));
 }
 
-void Histogram::recordSeconds(double seconds) noexcept {
-  recordMillis(seconds * 1e3);
-}
-
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
   for (std::size_t i = 0; i < kBuckets; ++i)

@@ -86,7 +86,6 @@ public:
 
   void record(std::uint64_t nanos) noexcept;
   void recordMillis(double millis) noexcept;
-  void recordSeconds(double seconds) noexcept;
 
   /// A consistent-enough copy for reporting (individual loads are relaxed;
   /// counts racing in during the copy may straddle, which is fine for

@@ -552,8 +552,15 @@ void ExperimentService::execute(Pending& pending) {
     reg.busyMicros.add(static_cast<std::uint64_t>(runWatch.millis() * 1e3));
     respond(errorResponse(req.id, ErrorCode::Internal, "allocation failure", nullptr,
                           queueMs, pending.admitted.millis()));
+  } catch (const ParseError& e) {
+    // Bad external input found only when the circuit is compiled (an inline
+    // SOP or PLA that does not parse, a synthesizer over its input bound).
+    bumpForCode(ErrorCode::Parse);
+    reg.busyMicros.add(static_cast<std::uint64_t>(runWatch.millis() * 1e3));
+    respond(errorResponse(req.id, ErrorCode::Parse, e.what(), nullptr, queueMs,
+                          pending.admitted.millis()));
   } catch (const std::exception& e) {
-    // Synthesis failures, engine invariant violations, injected faults:
+    // Other synthesis failures, engine invariant violations, injected faults:
     // the request dies with a structured `internal`, the daemon lives on.
     reg.internalErrors.add(1);
     reg.busyMicros.add(static_cast<std::uint64_t>(runWatch.millis() * 1e3));

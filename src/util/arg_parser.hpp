@@ -58,7 +58,7 @@ public:
              }});
   }
   // Optional-valued variants for callers that must distinguish "flag absent"
-  // from "flag set to the default" (e.g. env-variable fallbacks).
+  // from "flag set to the default".
   template <typename T>
     requires std::is_arithmetic_v<T>
   void add(const std::string& name, std::optional<T>* target, const std::string& valueName,

@@ -37,20 +37,6 @@ std::string TextTable::toString() const {
 
 std::ostream& operator<<(std::ostream& os, const TextTable& t) { return os << t.toString(); }
 
-std::string TextTable::toCsv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << row[c];
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 std::string TextTable::num(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;

@@ -1,5 +1,5 @@
 // TextTable: aligned plain-text tables for the benchmark harness output
-// (the "same rows the paper reports" requirement), plus a tiny CSV writer.
+// (the "same rows the paper reports" requirement).
 #pragma once
 
 #include <cstddef>
@@ -22,10 +22,6 @@ public:
   /// Render with column alignment and a header separator.
   std::string toString() const;
   friend std::ostream& operator<<(std::ostream& os, const TextTable& t);
-
-  /// Render as CSV (no quoting of separators inside cells; callers keep
-  /// cells simple).
-  std::string toCsv() const;
 
   // Formatting helpers used throughout the bench binaries.
   static std::string num(double v, int precision = 3);

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "util/error.hpp"
-
 namespace mcx {
 
 namespace {
@@ -58,17 +56,6 @@ TwoLevelLayout buildTwoLevelLayout(Cover cover) {
   layout.fm = buildFunctionMatrix(cover);
   layout.cover = std::move(cover);
   return layout;
-}
-
-DualChoice chooseDual(const Cover& original, const Cover& complement) {
-  MCX_REQUIRE(original.nin() == complement.nin() && original.nout() == complement.nout(),
-              "chooseDual: arity mismatch");
-  DualChoice choice;
-  choice.areaOriginal = twoLevelDims(original).area();
-  choice.areaComplement = twoLevelDims(complement).area();
-  choice.usedComplement = choice.areaComplement < choice.areaOriginal;
-  choice.layout = buildTwoLevelLayout(choice.usedComplement ? complement : original);
-  return choice;
 }
 
 }  // namespace mcx

@@ -25,15 +25,4 @@ struct TwoLevelLayout {
 /// a minimal crossbar is desired).
 TwoLevelLayout buildTwoLevelLayout(Cover cover);
 
-/// The paper's "dual" optimization: synthesize both f and its complement
-/// (the crossbar produces both polarities for free) and keep whichever needs
-/// the smaller crossbar.
-struct DualChoice {
-  TwoLevelLayout layout;
-  bool usedComplement = false;
-  std::size_t areaOriginal = 0;
-  std::size_t areaComplement = 0;
-};
-DualChoice chooseDual(const Cover& original, const Cover& complement);
-
 }  // namespace mcx

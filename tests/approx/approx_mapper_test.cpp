@@ -13,7 +13,6 @@
 #include <algorithm>
 
 #include "api/experiment.hpp"
-#include "approx/error.hpp"
 #include "circuit/cache.hpp"
 #include "logic/truth_table.hpp"
 #include "map/registry.hpp"

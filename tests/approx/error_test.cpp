@@ -1,8 +1,7 @@
-// Unit tests of the functional error-metric core (src/approx/error.hpp):
-// exact minterm-diff counting, don't-care exclusion, budget acceptance, and
-// the retained-subset error of a cover (the quantity the approx mapper
-// reports per sample).
-#include "approx/error.hpp"
+// Unit tests of the functional error oracle (tests/oracles/functional_error.hpp):
+// exact minterm-diff counting, don't-care exclusion, and the retained-subset
+// error of a cover (the quantity the approx mapper reports per sample).
+#include "oracles/functional_error.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@ namespace {
 
 using approx::compareTruthTables;
 using approx::coverSubsetError;
-using approx::ErrorBudget;
 using approx::ErrorReport;
 
 TEST(ApproxTestError, IdenticalTablesAreExact) {
@@ -60,26 +58,6 @@ TEST(ApproxTestError, DontCarePairsAreExcludedFromBothCounts) {
 TEST(ApproxTestError, EmptyCareSetCountsAsExact) {
   ErrorReport report;
   EXPECT_EQ(report.fraction(), 0.0);
-}
-
-TEST(ApproxTestError, BudgetChecksGlobalAndPerOutputFractions) {
-  ErrorReport report;
-  report.carePairs = 8;
-  report.wrongPairs = 1;
-  report.wrongPerOutput = {1, 0};
-  report.carePerOutput = {4, 4};
-
-  ErrorBudget budget;
-  budget.epsilon = 0.125;
-  EXPECT_TRUE(budget.withinBudget(report));
-  budget.epsilon = 0.1;
-  EXPECT_FALSE(budget.withinBudget(report));
-
-  budget.epsilon = 0.5;
-  budget.perOutputEpsilon = {0.25, 0.0};
-  EXPECT_TRUE(budget.withinBudget(report));
-  budget.perOutputEpsilon = {0.1, 0.0};  // output 0 is 25% wrong
-  EXPECT_FALSE(budget.withinBudget(report));
 }
 
 TEST(ApproxTestError, FullRetentionOfACoverIsExact) {

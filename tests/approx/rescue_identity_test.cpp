@@ -1,9 +1,10 @@
 // Rescue identity of the approx mapper: its word-parallel augmenting pass
 // on reused scratch, with the realized error counted from the memoized cube
 // tables, must return exactly the MappingResult of the textbook rescue — a
-// scalar Kuhn DFS testing every (row, column) pair, scored by
-// approx::coverSubsetError — down to the row assignment, on engine-drawn
-// samples of the cells the approx experiments run.
+// scalar Kuhn DFS testing every (row, column) pair, scored by the
+// approx::coverSubsetError oracle (tests/oracles/functional_error.hpp) —
+// down to the row assignment, on engine-drawn samples of the cells the
+// approx experiments run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +13,10 @@
 #include <vector>
 
 #include "approx/approx_mapper.hpp"
-#include "approx/error.hpp"
 #include "circuit/cache.hpp"
 #include "map/registry.hpp"
 #include "mc/executor.hpp"
+#include "oracles/functional_error.hpp"
 #include "scenario/registry.hpp"
 #include "xbar/defects.hpp"
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/brute_force.hpp"
+#include "oracles/brute_force_assign.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

@@ -3,7 +3,8 @@
 # cell. For the grid, synthesis fails (exact QM is limited to 12 inputs;
 # t481 has 16) and the driver reports it as a usage-class error; the two
 # hand-written suites are interrupted mid-run. An empty --json path is a
-# failed write: the suite still runs in full, then exits 2.
+# failed write: the suite still runs in full, then exits 2. --samples 0 is
+# a usage error rejected before the suite runs.
 #
 # Usage: sh failed_run_keeps_json.sh <path-to-mcx_bench>
 set -u
@@ -23,6 +24,13 @@ code=$?
 [ "$code" -eq 2 ] || fail "expected exit 2, got $code"
 grep -q '^mcx_bench multilevel: ' "$DIR/err.txt" || fail "missing 'mcx_bench multilevel: ' message"
 cmp -s "$DIR/f.json" "$DIR/before.json" || fail "f.json was modified"
+
+"$BENCH" table2 --samples 0 --json "$DIR/f.json" > "$DIR/out.txt" 2> "$DIR/err.txt"
+code=$?
+[ "$code" -eq 2 ] || fail "--samples 0: expected exit 2, got $code"
+grep -q -e '--samples: must be at least 1' "$DIR/err.txt" ||
+  fail "--samples 0: missing '--samples: must be at least 1' message"
+cmp -s "$DIR/f.json" "$DIR/before.json" || fail "--samples 0: f.json was modified"
 
 "$BENCH" multilevel --samples 3 --json "" > "$DIR/out.txt" 2> "$DIR/err.txt"
 code=$?

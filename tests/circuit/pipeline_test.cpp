@@ -223,11 +223,11 @@ TEST(CircuitPipeline, SemanticErrors) {
   // circuits alike: t481 has 16 inputs. ISOP stops at 16; cordic has 23.
   EXPECT_THROW(buildCircuit(makeCircuitSpec(
                    R"({"circuit":"sop:x1 x13 + x14 x15 x16","synth":"qm"})")),
-               InvalidArgument);
+               ParseError);
   EXPECT_THROW(buildCircuit(makeCircuitSpec(R"({"circuit":"t481","synth":"qm"})")),
-               InvalidArgument);
+               ParseError);
   EXPECT_THROW(buildCircuit(makeCircuitSpec(R"({"circuit":"cordic","synth":"isop"})")),
-               InvalidArgument);
+               ParseError);
   // Unknown registry name straight into the pipeline (bypassing the circuit
   // registry's eager check).
   CircuitSpec unknown;

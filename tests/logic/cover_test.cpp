@@ -100,14 +100,6 @@ TEST(Cover, RemoveContainedKeepsOneOfIdenticalPair) {
   EXPECT_EQ(c.size(), 1u);
 }
 
-TEST(Cover, UniverseCoversEverything) {
-  const Cover u = Cover::universe(4, 3);
-  DynBits in(4);
-  in.set(2);
-  const DynBits out = u.evaluate(in);
-  EXPECT_EQ(out.count(), 3u);
-}
-
 TEST(Cover, ToStringIsPlaBody) {
   Cover c(2, 1);
   c.add(makeCube("10", "1"));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/random_truth_table.hpp"
 #include "util/error.hpp"
 
 #include <bit>

@@ -5,6 +5,7 @@
 #include "logic/espresso.hpp"
 #include "logic/generators.hpp"
 #include "logic/isop.hpp"
+#include "oracles/random_truth_table.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

@@ -53,9 +53,9 @@ TEST(SopParser, SemanticsMatchTruthTable) {
 }
 
 TEST(SopParser, Rejections) {
-  EXPECT_THROW(parseSop(""), InvalidArgument);
-  EXPECT_THROW(parseSop("x1 +"), InvalidArgument);
-  EXPECT_THROW(parseSop("+ x1"), InvalidArgument);
+  EXPECT_THROW(parseSop(""), ParseError);
+  EXPECT_THROW(parseSop("x1 +"), ParseError);
+  EXPECT_THROW(parseSop("+ x1"), ParseError);
   EXPECT_THROW(parseSop("y1"), ParseError);
   EXPECT_THROW(parseSop("x0"), ParseError);
   EXPECT_THROW(parseSop("x"), ParseError);

@@ -1,13 +1,20 @@
-#include "assign/brute_force.hpp"
+// Test oracle: exhaustive assignment, the reference the Munkres tests are
+// checked against.
+#pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
+#include "assign/munkres.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
 
-AssignmentResult bruteForceAssign(const CostMatrix& cost) {
+/// Exhaustive min-cost assignment (rows <= cols <= 10). Exponential.
+inline AssignmentResult bruteForceAssign(const CostMatrix& cost) {
   const std::size_t n = cost.rows();
   const std::size_t m = cost.cols();
   MCX_REQUIRE(n <= m, "bruteForceAssign: requires rows <= cols");

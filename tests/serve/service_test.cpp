@@ -291,6 +291,31 @@ TEST_F(ServiceTest, ParseErrorsAnswerSynchronouslyWithBestEffortId) {
   EXPECT_EQ(service.counters().accepted, 0u);
 }
 
+TEST_F(ServiceTest, MalformedInlineCircuitsAreParseErrorsNotInternal) {
+  // These pass admission and fail only when a worker compiles the circuit:
+  // a syntax error, QM and ISOP past their input bounds, a bad PLA row.
+  // Still bad client input, so `parse`, with no source-location leak.
+  ResponseLog log;
+  ExperimentService service(smallOptions(), log.sink());
+  service.submit(R"({"id": "sop", "circuit": "sop:x1 +", "samples": 5})");
+  service.submit(
+      R"({"id": "qm", "circuit": {"circuit": "sop:x1 x13", "synth": "qm"}, "samples": 5})");
+  service.submit(
+      R"({"id": "isop", "circuit": {"circuit": "sop:x1 x21", "synth": "isop"}, "samples": 5})");
+  service.submit(R"({"id": "pla", "circuit": "pla:.i 2\n.o 1\n1x1 1\n.e", "samples": 5})");
+  service.drain();
+  for (const char* id : {"sop", "qm", "isop", "pla"}) {
+    const SpecValue response = log.response(id);
+    EXPECT_EQ(errorCode(response), "parse") << id;
+    const SpecValue* error = response.find("error");
+    ASSERT_NE(error, nullptr) << id;
+    EXPECT_EQ(error->stringOr("message", "").find("requirement failed"), std::string::npos)
+        << id << ": " << error->stringOr("message", "");
+  }
+  EXPECT_EQ(service.counters().parseErrors, 4u);
+  EXPECT_EQ(service.counters().internalErrors, 0u);
+}
+
 TEST_F(ServiceTest, PerRequestSinkOverridesTheDefault) {
   ResponseLog defaultLog;
   ResponseLog connectionLog;

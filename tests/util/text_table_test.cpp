@@ -22,12 +22,6 @@ TEST(TextTable, PadsShortRows) {
   EXPECT_NE(t.toString().find('1'), std::string::npos);
 }
 
-TEST(TextTable, CsvOutput) {
-  TextTable t({"x", "y"});
-  t.addRow({"1", "2"});
-  EXPECT_EQ(t.toCsv(), "x,y\n1,2\n");
-}
-
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");

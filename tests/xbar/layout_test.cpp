@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "logic/espresso.hpp"
 #include "logic/sop_parser.hpp"
 
 namespace mcx {
@@ -23,26 +22,6 @@ TEST(TwoLevelLayout, AsciiDiagramMentionsGeometry) {
   EXPECT_NE(s.find("!O1"), std::string::npos);
   EXPECT_NE(s.find("area=18"), std::string::npos);
   EXPECT_NE(s.find('#'), std::string::npos);
-}
-
-TEST(ChooseDual, PicksSmallerImplementation) {
-  // f = x1 + x2 + x3: complement !x1 !x2 !x3 has 1 product vs 3.
-  const Cover f = parseSop("x1 + x2 + x3");
-  const Cover fbar = espressoMinimize(complementCover(f));
-  const DualChoice choice = chooseDual(f, fbar);
-  EXPECT_TRUE(choice.usedComplement);
-  EXPECT_EQ(choice.areaOriginal, twoLevelDims(f).area());
-  EXPECT_EQ(choice.areaComplement, twoLevelDims(fbar).area());
-  EXPECT_LT(choice.areaComplement, choice.areaOriginal);
-  EXPECT_EQ(choice.layout.cover.size(), fbar.size());
-}
-
-TEST(ChooseDual, KeepsOriginalWhenSmaller) {
-  // f = x1 x2 x3 (1 product); complement has 3 products.
-  const Cover f = parseSop("x1 x2 x3");
-  const Cover fbar = espressoMinimize(complementCover(f));
-  const DualChoice choice = chooseDual(f, fbar);
-  EXPECT_FALSE(choice.usedComplement);
 }
 
 }  // namespace
