@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the library's hot kernels:
 // row matching, matching-matrix construction, Munkres, tautology checking,
-// complement, ISOP, espresso, factoring, end-to-end HBA/EA mapping, and the
+// complement, ISOP, espresso, factoring, end-to-end HBA/EA mapping (alu4
+// and the bw deck, on a reused context), and the
 // three layers of the Monte Carlo hot path (legacy vs sparse sampling, the
 // candidate adjacency, Hopcroft-Karp) on the bw
 // multi-level workload at the paper's 10% stuck-open rate, the approx
@@ -197,27 +198,39 @@ void BM_HopcroftKarp(benchmark::State& state) {
 }
 BENCHMARK(BM_HopcroftKarp);
 
-void BM_MapHba(benchmark::State& state) {
+// End-to-end mapping (adjacency build included) on one reused context, as
+// an engine worker runs it: one fixed alu4 sample (legacy sampler, 10%
+// stuck-open), and the bw deck's next card each iteration.
+void mapAlu4Sample(benchmark::State& state, const IMapper& mapper) {
   const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
   const FunctionMatrix& fm = alu4->fm;
   Rng rng(5);
   const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
-  const HybridMapper mapper;
-  for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm));
+  MappingContext ctx;
+  for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm, ctx));
 }
+
+void mapBwDeck(benchmark::State& state, const IMapper& mapper) {
+  const FunctionMatrix& fm = bwFunctionMatrix();
+  const BwDeck& deck = bwDeck();
+  MappingContext ctx;
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(mapper.map(fm, deck.cm[i++ % BwDeck::kSize], ctx));
+}
+
+void BM_MapHba(benchmark::State& state) { mapAlu4Sample(state, HybridMapper()); }
 BENCHMARK(BM_MapHba);
 
-void BM_MapEa(benchmark::State& state) {
-  const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
-  const FunctionMatrix& fm = alu4->fm;
-  Rng rng(5);
-  const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
-  const BitMatrix cm = crossbarMatrix(defects);
-  const ExactMapper mapper;
-  for (auto _ : state) benchmark::DoNotOptimize(mapper.map(fm, cm));
-}
+void BM_MapEa(benchmark::State& state) { mapAlu4Sample(state, ExactMapper()); }
 BENCHMARK(BM_MapEa);
+
+void BM_MapHbaBw(benchmark::State& state) { mapBwDeck(state, HybridMapper()); }
+BENCHMARK(BM_MapHbaBw);
+
+void BM_MapEaBw(benchmark::State& state) { mapBwDeck(state, ExactMapper()); }
+BENCHMARK(BM_MapEaBw);
 
 // --- Approx rescue of inner-mapper failures --------------------------------
 

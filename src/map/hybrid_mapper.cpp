@@ -1,9 +1,9 @@
 #include "map/hybrid_mapper.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -25,22 +25,25 @@ std::size_t firstBit(std::span<const Word> row, const std::vector<Word>& mask) {
 }
 
 /// One full HBA attempt (phase 1 greedy + one-level backtracking over
-/// @p order, phase 2 Hopcroft-Karp output assignment) on the precomputed
-/// candidate adjacency. Backtrack repairs are accumulated into @p result;
-/// on success the assignment is stored and result.success set.
-bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency,
-                    const std::vector<std::size_t>& order, bool backtracking,
-                    MappingResult& result) {
+/// s.order, phase 2 Hopcroft-Karp output assignment) on the precomputed
+/// candidate adjacency, in the context's reused buffers. Backtrack repairs
+/// are accumulated into @p result; on success the assignment is stored and
+/// result.success set.
+bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency, bool backtracking,
+                    MappingContext::HbaScratch& s, MappingResult& result) {
   const std::size_t N = adjacency.cols();
 
-  std::vector<std::size_t> fmToCm(fm.rows(), kNone);
-  std::vector<std::size_t> cmOwner(N, kNone);
+  std::vector<std::size_t>& fmToCm = s.fmToCm;
+  std::vector<std::size_t>& cmOwner = s.cmOwner;
+  fmToCm.assign(fm.rows(), kNone);
+  cmOwner.assign(N, kNone);
 
   // Unmatched CM rows as a bitmask: greedy placement scans candidate-row
   // words AND free words instead of testing CM rows one by one.
   const std::size_t maskWords = (N + kWordBits - 1) / kWordBits;
-  std::vector<Word> free(maskWords, ~Word{0});
-  if (N % kWordBits != 0) free[maskWords - 1] = (Word{1} << (N % kWordBits)) - 1;
+  std::vector<Word>& free = s.free;
+  free.assign(maskWords, ~Word{0});
+  if (N % kWordBits != 0) free[maskWords - 1] = BitMatrix::tailMask(N);
   const auto take = [&](std::size_t t, std::size_t owner) {
     free[t / kWordBits] &= ~(Word{1} << (t % kWordBits));
     cmOwner[t] = owner;
@@ -48,7 +51,7 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency,
   };
 
   // Phase 1: greedy matching of minterm rows with one-level backtracking.
-  for (const std::size_t i : order) {
+  for (const std::size_t i : s.order) {
     const auto row = adjacency.rowWords(i);
     std::size_t t = firstBit(row, free);
     if (t != kNone) {
@@ -78,27 +81,26 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency,
     if (!placed) return false;  // no possible row matching in this order
   }
 
-  // Phase 2: exact assignment of output rows onto unmatched CM rows —
-  // pure feasibility, so Hopcroft-Karp on the sub-adjacency replaces the
-  // zero-cost Munkres run.
-  std::vector<std::size_t> fmo(fm.numOutputRows());
-  for (std::size_t o = 0; o < fmo.size(); ++o) fmo[o] = fm.rowOfOutput(o);
-  std::vector<std::size_t> cmu;
-  cmu.reserve(N - order.size());
-  for (std::size_t t = 0; t < N; ++t)
-    if (cmOwner[t] == kNone) cmu.push_back(t);
-  if (cmu.size() < fmo.size()) return false;
-
-  BitMatrix sub(fmo.size(), cmu.size());
-  for (std::size_t o = 0; o < fmo.size(); ++o)
-    for (std::size_t k = 0; k < cmu.size(); ++k)
-      if (adjacency.test(fmo[o], cmu[k])) sub.set(o, k);
-
+  // Phase 2: exact assignment of output rows onto the unmatched CM rows
+  // (CMu) — pure feasibility, so Hopcroft-Karp on the sub-adjacency
+  // replaces the zero-cost Munkres run. The sub-adjacency keeps the CM row
+  // indices: each output row's words ANDed with the free mask. Hopcroft-Karp
+  // only walks set bits, in ascending order, so the cleared columns change
+  // nothing against the output x CMu matrix with CMu packed densely, and its
+  // matching names the CM rows directly.
+  const std::size_t outputs = fm.numOutputRows();
+  BitMatrix& sub = s.sub;
+  sub.reshape(outputs, N);
+  for (std::size_t o = 0; o < outputs; ++o) {
+    const Word* const src = adjacency.rowWords(fm.rowOfOutput(o)).data();
+    Word* const dst = sub.rowWords(o).data();
+    for (std::size_t w = 0; w < maskWords; ++w) dst[w] = src[w] & free[w];
+  }
   const FeasibleAssignment assignment = solveFeasibleAssignment(sub);
   if (!assignment.success) return false;
 
-  for (std::size_t o = 0; o < fmo.size(); ++o) fmToCm[fmo[o]] = cmu[assignment.assignment[o]];
-  result.rowAssignment = std::move(fmToCm);
+  for (std::size_t o = 0; o < outputs; ++o) fmToCm[fm.rowOfOutput(o)] = assignment.assignment[o];
+  result.rowAssignment.assign(fmToCm.begin(), fmToCm.end());
   result.success = true;
   return true;
 }
@@ -112,39 +114,52 @@ MappingResult HybridMapper::map(const FunctionMatrix& fm, const BitMatrix& cm,
   if (fm.rows() > cm.rows()) return result;
 
   const std::size_t P = fm.numProductRows();
+  const std::size_t N = cm.rows();
 
   // One adjacency precompute serves the degree check, both phases, and the
   // backtracking probes (O(1) bit tests afterwards), built in the
   // context's reused buffers.
   const BitMatrix& adjacency = ctx.candidateAdjacency(fm.bits(), cm);
-  std::vector<std::size_t> candidates(fm.rows());
+  MappingContext::HbaScratch& s = ctx.hbaScratch();
+  // The degree check fills the counting sort's histogram of the product
+  // rows' candidate counts on the way.
+  std::vector<std::size_t>& candidates = s.candidates;
+  std::vector<std::size_t>& buckets = s.buckets;
+  candidates.resize(fm.rows());
+  buckets.assign(N + 1, 0);
   for (std::size_t r = 0; r < fm.rows(); ++r) {
-    candidates[r] = adjacency.rowCount(r);
-    if (candidates[r] == 0) return result;  // unmappable row: fail before solving
+    const std::size_t count = adjacency.rowCount(r);
+    if (count == 0) return result;  // unmappable row: fail before solving
+    candidates[r] = count;
+    if (r < P) ++buckets[count];
   }
 
-  std::vector<std::size_t> order(P);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-
+  std::vector<std::size_t>& order = s.order;
+  order.resize(P);
   if (!opts_.sortByCandidates) {
-    attemptMapping(fm, adjacency, order, opts_.backtracking, result);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    attemptMapping(fm, adjacency, opts_.backtracking, s, result);
     return result;
   }
 
-  // Most-constrained rows first (ties broken by index, so equal-degree rows
-  // keep the paper's top-to-bottom order — same order a stable sort gives,
-  // without stable_sort's per-call buffer allocation): they have the fewest
-  // escape hatches, and placing them early slashes the backtracking
-  // repairs. When this order dead-ends, fall back to the paper's
+  // Most-constrained rows first, ties broken by index so that equal-degree
+  // rows keep the paper's top-to-bottom order: they have the fewest escape
+  // hatches, and placing them early slashes the backtracking repairs. The
+  // counts lie in [1, N], so a stable counting sort yields this order in
+  // O(P + N). When this order dead-ends, fall back to the paper's
   // top-to-bottom order — the two greedy orders fail on different
   // instances, so the success set is the union of both and never below the
   // paper's.
-  std::vector<std::size_t> sorted = order;
-  std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-    return candidates[a] != candidates[b] ? candidates[a] < candidates[b] : a < b;
-  });
-  if (attemptMapping(fm, adjacency, sorted, opts_.backtracking, result)) return result;
-  if (sorted != order) attemptMapping(fm, adjacency, order, opts_.backtracking, result);
+  for (std::size_t c = 0, start = 0; c <= N; ++c) start += std::exchange(buckets[c], start);
+  bool paperOrder = true;
+  for (std::size_t r = 0; r < P; ++r) {
+    const std::size_t at = buckets[candidates[r]]++;
+    order[at] = r;
+    paperOrder = paperOrder && at == r;
+  }
+  if (attemptMapping(fm, adjacency, opts_.backtracking, s, result) || paperOrder) return result;
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  attemptMapping(fm, adjacency, opts_.backtracking, s, result);
   return result;
 }
 

@@ -1,15 +1,23 @@
 // HybridMapper (HBA): the paper's Algorithm 1.
 //
-// Phase 1 — heuristic minterm matching: FMm rows are matched to CM rows
-// greedily top-to-bottom. When a row cannot be placed on any unmatched CM
-// row, one-level backtracking runs: for each already-matched CM row (top to
-// bottom) that could host the new FM row, try to relocate its current owner
-// to some unmatched CM row; on success swap the assignments.
+// Phase 1 — heuristic minterm matching: FMm rows are matched greedily, each
+// to the first unmatched CM row it fits. The default order places the
+// most-constrained rows (fewest candidate CM rows) first, ties in the
+// paper's top-to-bottom order, and retries the paper's order when that one
+// dead-ends; the "-paper" variant runs the paper's order alone. When a row
+// cannot be placed on any unmatched CM row, one-level backtracking runs:
+// for each already-matched CM row (top to bottom) that could host the new
+// FM row, try to relocate its current owner to some unmatched CM row; on
+// success swap the assignments.
 //
 // Phase 2 — exact output assignment: the matching matrix of the output rows
 // (FMo) against the remaining unmatched CM rows (CMu) is solved with
-// Munkres; the mapping is valid iff a zero-cost assignment exists (a single
-// defect can discard a whole output, hence the exact method here).
+// Hopcroft-Karp; the mapping is valid iff it matches every output row (a
+// single defect can discard a whole output, hence the exact method here).
+//
+// Every attempt runs on the MappingContext's reused buffers (degree counts,
+// row order, assignment, free mask, phase-2 sub-matrix), so a Monte Carlo
+// worker allocates only the result and Hopcroft-Karp's state per sample.
 #pragma once
 
 #include "map/matching.hpp"

@@ -41,8 +41,9 @@ bool rowMatches(const BitMatrix& fm, std::size_t fmRow, const BitMatrix& cm, std
 BitMatrix buildCandidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
 
 /// Per-worker scratch for the Monte Carlo mapping hot path: the reused
-/// transpose and adjacency buffers of the candidate-adjacency kernel, plus
-/// the spare lines of the crossbar the CMs come from.
+/// transpose and adjacency buffers of the candidate-adjacency kernel,
+/// HybridMapper's per-attempt buffers, plus the spare lines of the crossbar
+/// the CMs come from.
 class MappingContext {
 public:
   // Kept only for perfbench; delete in the next benchmark PR.
@@ -57,8 +58,21 @@ public:
   /// until the next call on this context).
   const BitMatrix& candidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
 
+  /// HybridMapper's buffers, reused across its calls on this context;
+  /// their contents mean nothing between calls.
+  struct HbaScratch {
+    std::vector<std::size_t> candidates;  ///< candidate CM rows per FM row
+    std::vector<std::size_t> buckets;     ///< counting-sort offsets by candidate count
+    std::vector<std::size_t> order;       ///< phase-1 row order
+    std::vector<std::size_t> fmToCm, cmOwner;
+    std::vector<BitMatrix::Word> free;  ///< unmatched CM rows
+    BitMatrix sub;                      ///< phase 2: output rows x CM rows, unmatched only
+  };
+  HbaScratch& hbaScratch() { return hba_; }
+
 private:
   RedundantCrossbarSpec spares_;
+  HbaScratch hba_;
   BitMatrix cmT_;
   BitMatrix adjacency_;
 };

@@ -63,13 +63,6 @@ std::size_t BitMatrix::count() const {
   return n;
 }
 
-std::size_t BitMatrix::rowCount(std::size_t r) const {
-  MCX_REQUIRE(r < rows_, "BitMatrix::rowCount out of range");
-  std::size_t n = 0;
-  for (Word w : rowWords(r)) n += static_cast<std::size_t>(std::popcount(w));
-  return n;
-}
-
 std::size_t BitMatrix::colCount(std::size_t c) const {
   std::size_t n = 0;
   for (std::size_t r = 0; r < rows_; ++r) n += test(r, c) ? 1 : 0;

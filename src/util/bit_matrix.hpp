@@ -5,6 +5,7 @@
 // on whole 64-bit words.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -55,8 +56,6 @@ public:
 
   /// Number of set bits in the whole matrix.
   std::size_t count() const;
-  /// Number of set bits in row @p r.
-  std::size_t rowCount(std::size_t r) const;
   /// Number of set bits in column @p c.
   std::size_t colCount(std::size_t c) const;
 
@@ -75,6 +74,12 @@ public:
   std::span<Word> rowWords(std::size_t r) {
     checkRow(r);
     return {w_.data() + r * wordsPerRow_, wordsPerRow_};
+  }
+  /// Number of set bits in row @p r.
+  std::size_t rowCount(std::size_t r) const {
+    std::size_t n = 0;
+    for (const Word w : rowWords(r)) n += static_cast<std::size_t>(std::popcount(w));
+    return n;
   }
 
   bool operator==(const BitMatrix& o) const = default;
