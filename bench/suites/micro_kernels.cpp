@@ -179,6 +179,19 @@ void BM_SamplerSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerSparse);
 
+// The adjacency kernel's first half alone: the next card's CM transposed
+// into one reused buffer.
+void BM_Transpose(benchmark::State& state) {
+  const BwDeck& deck = bwDeck();
+  BitMatrix cmT;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    cmT.assignTransposed(deck.cm[i++ % BwDeck::kSize]);
+    benchmark::DoNotOptimize(cmT);
+  }
+}
+BENCHMARK(BM_Transpose);
+
 // The engine's path: one reused context per worker, the next card's CM each
 // iteration.
 void BM_Adjacency(benchmark::State& state) {

@@ -35,7 +35,9 @@ bool rowMatches(const BitMatrix& fm, std::size_t fmRow, const BitMatrix& cm, std
 /// i then fits exactly the CM rows functional at every column i requires,
 /// i.e. the AND of those columns' transposed rows (all ones for an empty FM
 /// row). That is the subset rule written column by column, at
-/// O(fmOnes x cmRows/64) word ops after the 64x64 block transpose. The
+/// O(fmOnes x cmRows/64) word ops after the 64x64 block transpose. Each
+/// adjacency row accumulates in registers, in blocks of a compile-time
+/// width of up to 8 words (512 CM rows), and is stored once. The
 /// stuck-closed poisoning of Section IV-A needs no special case: the CM
 /// already carries it (crossbarMatrixInto).
 BitMatrix buildCandidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);

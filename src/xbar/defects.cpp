@@ -1,6 +1,7 @@
 #include "xbar/defects.hpp"
 
 #include <bit>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -51,39 +52,46 @@ BitMatrix crossbarMatrix(const DefectMap& defects) {
 }
 
 void crossbarMatrixInto(const DefectMap& defects, BitMatrix& cm) {
+  using Word = BitMatrix::Word;
   const std::size_t rows = defects.rows();
   const std::size_t cols = defects.cols();
   cm.reshape(rows, cols);
   if (rows == 0 || cols == 0) return;
 
-  const BitMatrix::Word tailMask = BitMatrix::tailMask(cols);
-
-  // Functional = not stuck-open: one NOT per word instead of per-bit resets.
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto open = defects.openBits().rowWords(r);
-    const auto dst = cm.rowWords(r);
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = ~open[i];
-    dst[dst.size() - 1] &= tailMask;
-  }
-
-  if (defects.stuckClosedCount() == 0) return;
-  // A stuck-closed crosspoint poisons its whole row and column. Fold all
-  // closed rows into a column mask, then clear poisoned rows and columns
-  // word-at-a-time.
+  // The three matrices share one row-contiguous layout, so the common pass
+  // runs flat over all words: functional = not stuck-open, and an OR of the
+  // closed bits says whether any line is poisoned.
   const std::size_t wordsPerRow = cm.rowWords(0).size();
-  std::vector<BitMatrix::Word> colPoison(wordsPerRow, 0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto closed = defects.closedBits().rowWords(r);
-    for (std::size_t i = 0; i < wordsPerRow; ++i) colPoison[i] |= closed[i];
+  const std::size_t words = rows * wordsPerRow;
+  const Word* const open = defects.openBits().rowWords(0).data();
+  const Word* const closed = defects.closedBits().rowWords(0).data();
+  Word* const dst = cm.rowWords(0).data();
+  Word anyClosed = 0;
+  for (std::size_t k = 0; k < words; ++k) {
+    dst[k] = ~open[k];
+    anyClosed |= closed[k];
   }
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto dst = cm.rowWords(r);
-    if (defects.closedBits().rowCount(r) > 0) {
-      for (auto& w : dst) w = 0;
-    } else {
-      for (std::size_t i = 0; i < wordsPerRow; ++i) dst[i] &= ~colPoison[i];
+  const Word tailMask = BitMatrix::tailMask(cols);
+  for (std::size_t k = wordsPerRow - 1; k < words; k += wordsPerRow) dst[k] &= tailMask;
+  if (anyClosed == 0) return;
+
+  // A stuck-closed crosspoint poisons its whole row and column. One OR pass
+  // over the closed rows clears each row holding one and folds it into the
+  // column mask, kept in per-thread storage so the Monte Carlo hot loop
+  // allocates nothing per sample; then the poisoned columns are cleared.
+  thread_local std::vector<Word> colPoison;
+  colPoison.assign(wordsPerRow, 0);
+  for (std::size_t k = 0; k < words; k += wordsPerRow) {
+    Word rowClosed = 0;
+    for (std::size_t i = 0; i < wordsPerRow; ++i) rowClosed |= closed[k + i];
+    if (rowClosed == 0) continue;
+    for (std::size_t i = 0; i < wordsPerRow; ++i) {
+      colPoison[i] |= closed[k + i];
+      dst[k + i] = 0;
     }
   }
+  for (std::size_t k = 0; k < words; k += wordsPerRow)
+    for (std::size_t i = 0; i < wordsPerRow; ++i) dst[k + i] &= ~colPoison[i];
 }
 
 }  // namespace mcx

@@ -78,7 +78,9 @@ BitMatrix crossbarMatrix(const DefectMap& defects);
 
 /// In-place variant of crossbarMatrix(): word-parallel derivation into a
 /// reusable buffer (one word op per 64 crosspoints instead of a per-bit
-/// test/reset loop).
+/// test/reset loop). Allocates nothing once @p cm and the per-thread column
+/// mask have grown to the shape, so the Monte Carlo engine calls it per
+/// sample.
 void crossbarMatrixInto(const DefectMap& defects, BitMatrix& cm);
 
 }  // namespace mcx

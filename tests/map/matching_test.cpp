@@ -178,13 +178,17 @@ TEST(CandidateAdjacency, MatchesRowMatchesOnEngineSamples) {
   MappingContext ctx;
   BitMatrix fm, cm;
   DefectMap defects;
+  // CM rows span 1 to 10 adjacency words, so every compile-time block
+  // width (1 to 8 words) and the two-block split past 512 rows occur; every
+  // fourth case takes a word-boundary size.
+  const std::size_t edgeRows[] = {64, 128, 192, 512, 513, 583};
   std::size_t poisoned = 0;
-  std::vector<std::size_t> wordsSeen(4, 0);
+  std::vector<std::size_t> wordsSeen(11, 0);
   for (int rep = 0; rep < 240; ++rep) {
     const std::size_t fmRows = 1 + rng.uniformInt(0, 150);
     const std::size_t cols = rep % 40 == 0 ? 0 : 1 + rng.uniformInt(0, 138);
     const std::size_t cmRows =
-        rep % 4 == 0 ? 64 * (1 + rep / 4 % 3) : 1 + rng.uniformInt(0, 191);
+        rep % 4 == 0 ? edgeRows[rep / 4 % 6] : 1 + rng.uniformInt(0, 639);
     fm.reshape(fmRows, cols);
     const double density = 0.02 + 0.2 * rng.uniform();
     for (std::size_t r = 0; r < fmRows; r += 1 + r % 3)  // skipped rows stay empty
@@ -222,7 +226,7 @@ TEST(CandidateAdjacency, MatchesRowMatchesOnEngineSamples) {
         << where << ", next sample of the same shape";
   }
   EXPECT_GT(poisoned, 0u);
-  for (std::size_t words = 1; words <= 3; ++words)
+  for (std::size_t words = 1; words <= 10; ++words)
     EXPECT_GT(wordsSeen[words], 0u) << words << "-word adjacency rows";
 }
 

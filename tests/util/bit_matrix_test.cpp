@@ -118,8 +118,9 @@ TEST(BitMatrix, SetColTouchesEveryRow) {
 TEST(BitMatrix, AssignTransposedMatchesPerBitTranspose) {
   Rng rng(41);
   // Dimensions straddling the 64-bit word boundaries in both directions.
-  const std::size_t dims[][2] = {{1, 1}, {7, 3}, {64, 64}, {65, 63}, {128, 1},
-                                 {1, 128}, {100, 200}, {289, 299}};
+  const std::size_t dims[][2] = {{1, 1},     {7, 3},     {64, 64},  {65, 63},
+                                 {128, 1},   {1, 128},   {100, 200}, {289, 299},
+                                 {583, 44},  {44, 583},  {513, 600}};
   for (const auto& d : dims) {
     BitMatrix a(d[0], d[1]);
     for (std::size_t r = 0; r < a.rows(); ++r)

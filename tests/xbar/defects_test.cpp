@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "scenario/defect_model.hpp"
+#include "util/rng.hpp"
+
 namespace mcx {
 namespace {
 
@@ -70,6 +75,41 @@ TEST(CrossbarMatrix, MatchesFig8Pattern) {
   EXPECT_EQ(cm.count(), 60u - 9u);
   EXPECT_FALSE(cm.test(0, 1));
   EXPECT_TRUE(cm.test(1, 1));
+}
+
+TEST(CrossbarMatrix, IntoMatchesPerBitRuleOnReusedBuffer) {
+  // One CM buffer serves every sample while shapes grow and shrink across
+  // word boundaries, with stuck-open-only, mixed and closed-heavy maps: the
+  // derived CM must equal the per-bit rule, padding included, so neither a
+  // stale row of the buffer nor a stale column mask can show through.
+  Rng rng(71);
+  DefectMap defects;
+  BitMatrix cm;
+  std::size_t poisoned = 0, openOnly = 0;
+  for (int rep = 0; rep < 300; ++rep) {
+    const std::size_t rows = 1 + rng.uniformInt(0, rep % 2 == 0 ? 300 : 40);
+    const std::size_t cols = 1 + rng.uniformInt(0, rep % 3 == 0 ? 200 : 70);
+    const double open = 0.3 * rng.uniform();
+    const double closed = rep % 3 == 0 ? 0.0 : rep % 3 == 1 ? 0.002 : 0.05 * rng.uniform();
+    IidBernoulli(open, closed).generate(rows, cols, rng, defects);
+    crossbarMatrixInto(defects, cm);
+    if (defects.stuckClosedCount() > 0)
+      ++poisoned;
+    else
+      ++openOnly;
+
+    std::vector<bool> rowBad(rows), colBad(cols);
+    for (std::size_t r = 0; r < rows; ++r) rowBad[r] = defects.rowPoisoned(r);
+    for (std::size_t c = 0; c < cols; ++c) colBad[c] = defects.colPoisoned(c);
+    BitMatrix reference(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c)
+        if (!defects.isStuckOpen(r, c) && !rowBad[r] && !colBad[c]) reference.set(r, c);
+    ASSERT_EQ(cm, reference) << "rep=" << rep << " " << rows << "x" << cols
+                             << " closed=" << defects.stuckClosedCount();
+  }
+  EXPECT_GT(poisoned, 0u);
+  EXPECT_GT(openOnly, 0u);
 }
 
 }  // namespace
