@@ -80,50 +80,37 @@ std::vector<std::string> splitList(const std::string& csv) {
 
 void applySweepSpec(bench::Grid& grid, const std::string& text) {
   const SpecValue spec = parseSpec(text);
-  MCX_REQUIRE(spec.isObject(), "--sweep: expected a JSON object");
-  for (const auto& [key, value] : spec.members)
-    MCX_REQUIRE(key == "scenarios" || key == "rates" || key == "circuits" ||
-                    key == "samples" || key == "seed",
-                "--sweep: unknown member \"" + key + "\"");
+  if (!spec.isObject()) throw ParseError("--sweep: expected a JSON object");
+  requireOnlyKeys(spec, "--sweep", {"scenarios", "rates", "circuits", "samples", "seed"});
   if (const SpecValue* scenarios = spec.find("scenarios")) {
-    MCX_REQUIRE(scenarios->isArray(), "--sweep: \"scenarios\" must be an array");
+    if (!scenarios->isArray()) throw ParseError("--sweep: \"scenarios\" must be an array");
     grid.scenarios.clear();
-    for (const SpecValue& s : scenarios->array) {
-      if (s.kind == SpecValue::Kind::String) {
-        grid.scenarios.push_back(scenarioDecl(s.string));
-      } else {
-        static_cast<void>(modelFromSpec(s));
-        grid.scenarios.push_back(specText(s));
-      }
-    }
+    for (const SpecValue& s : scenarios->array)
+      grid.scenarios.push_back(
+          scenarioDecl(s.kind == SpecValue::Kind::String ? s.string : specText(s)));
   }
   if (const SpecValue* rates = spec.find("rates")) {
-    MCX_REQUIRE(rates->isArray(), "--sweep: \"rates\" must be an array");
+    if (!rates->isArray()) throw ParseError("--sweep: \"rates\" must be an array");
     grid.rates.clear();
     for (const SpecValue& r : rates->array) {
-      MCX_REQUIRE(r.kind == SpecValue::Kind::Number,
-                  "--sweep: \"rates\" entries must be numbers");
+      if (r.kind != SpecValue::Kind::Number || !(r.number >= 0.0 && r.number <= 1.0))
+        throw ParseError("--sweep: \"rates\" entries must be numbers in [0, 1]");
       grid.rates.push_back(r.number);
     }
   }
   if (const SpecValue* circuits = spec.find("circuits")) {
-    MCX_REQUIRE(circuits->isArray(), "--sweep: \"circuits\" must be an array");
+    if (!circuits->isArray()) throw ParseError("--sweep: \"circuits\" must be an array");
     grid.circuits.clear();
     for (const SpecValue& c : circuits->array) {
-      MCX_REQUIRE(c.kind == SpecValue::Kind::String,
-                  "--sweep: \"circuits\" entries must be strings");
+      if (c.kind != SpecValue::Kind::String)
+        throw ParseError("--sweep: \"circuits\" entries must be strings");
       grid.circuits.push_back(c.string);
     }
   }
-  // Validate before the unsigned casts: a negative count would be undefined
-  // behaviour, and a seed above 2^53 would silently round through double.
-  const double samples = spec.numberOr("samples", static_cast<double>(grid.samples));
-  MCX_REQUIRE(samples >= 0.0 && samples <= 1e9, "--sweep: \"samples\" out of range");
-  grid.samples = static_cast<std::size_t>(samples);
-  const double seed = spec.numberOr("seed", static_cast<double>(grid.seed));
-  MCX_REQUIRE(seed >= 0.0 && seed <= 9007199254740992.0,  // 2^53
-              "--sweep: \"seed\" must be an integer below 2^53");
-  grid.seed = static_cast<std::uint64_t>(seed);
+  // The --samples/--seed rules: at least one sample, and a seed the written
+  // JSON replays exactly.
+  grid.samples = spec.integerOr("samples", grid.samples, 1, 1000000000);
+  grid.seed = spec.integerOr("seed", grid.seed, 0, kMaxExactSpecInteger);
 }
 
 int runScenarios(const std::vector<std::string>& args) {
@@ -153,8 +140,9 @@ int runScenarios(const std::vector<std::string>& args) {
                          double rate{};
                          const auto [end, ec] =
                              std::from_chars(r.data(), r.data() + r.size(), rate);
-                         MCX_REQUIRE(ec == std::errc() && end == r.data() + r.size(),
-                                     "--rates: bad value \"" + r + "\"");
+                         if (ec != std::errc() || end != r.data() + r.size() ||
+                             !(rate >= 0.0 && rate <= 1.0))
+                           throw ParseError("--rates: \"" + r + "\" is not a rate in [0, 1]");
                          grid.rates.push_back(rate);
                        }
                      });

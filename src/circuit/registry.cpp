@@ -106,7 +106,9 @@ CircuitSpec resolveSource(const std::string& source) {
 }  // namespace
 
 CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
-  if (!spec.isObject()) throw ParseError("circuit spec: expected a JSON object");
+  if (spec.kind == SpecValue::Kind::String) return makeCircuitSpec(spec.string);
+  if (!spec.isObject())
+    throw ParseError("circuit spec: expected a preset name, a source or a JSON object");
   requireOnlyKeys(spec, "circuit spec",
                   {"circuit", "synth", "realize", "factoring", "maxFanin", "label"});
 
@@ -124,26 +126,16 @@ CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
     result.factoring = factoringFromString(spec.stringOr("factoring", ""));
     result.factoringExplicit = true;
   }
-  if (spec.find("maxFanin") != nullptr) {
-    const double fanin = spec.numberOr("maxFanin", 0.0);
-    // Integrality matters: 0.5 would truncate to 0 = unbounded, silently
-    // compiling a different circuit than declared.
-    if (fanin < 0.0 || fanin > 1e6 ||
-        fanin != static_cast<double>(static_cast<std::size_t>(fanin)))
-      throw ParseError("circuit spec: \"maxFanin\" must be an integer in [0, 1e6]");
-    result.maxFanin = static_cast<std::size_t>(fanin);
-  }
+  // Integrality matters: 0.5 truncated to 0 = unbounded would silently
+  // compile a different circuit than declared.
+  result.maxFanin = spec.integerOr("maxFanin", result.maxFanin, 0, 1000000);
   if (spec.find("label") != nullptr) result.label = spec.stringOr("label", "");
   return result;
 }
 
 CircuitSpec makeCircuitSpec(const std::string& nameOrSpec) {
-  std::size_t first = 0;
-  while (first < nameOrSpec.size() &&
-         (nameOrSpec[first] == ' ' || nameOrSpec[first] == '\t' || nameOrSpec[first] == '\n'))
-    ++first;
-  if (first < nameOrSpec.size() && nameOrSpec[first] == '{')
-    return circuitSpecFromSpec(parseSpec(nameOrSpec));
+  if (const std::optional<SpecValue> spec = inlineSpec(nameOrSpec))
+    return circuitSpecFromSpec(*spec);
   return resolveSource(nameOrSpec);
 }
 

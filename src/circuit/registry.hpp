@@ -35,13 +35,15 @@ const CircuitPreset* findCircuitPreset(const std::string& name);
 ///    "label": "adder"}
 /// "circuit" is a preset name or a prefixed source string (file:/pla:/sop:/
 /// gen:, see circuitSourceSpec); the remaining members override the base
-/// declaration. Throws mcx::ParseError on unknown members or values.
+/// declaration; "maxFanin" is an integer in [0, 1e6]. A string value
+/// resolves as makeCircuitSpec. Throws mcx::ParseError on unknown members
+/// or values.
 CircuitSpec circuitSpecFromSpec(const SpecValue& spec);
 
 /// Resolve a circuit string: a preset name ("bw"), a prefixed source
 /// ("file:adder.pla", "gen:weight5", ...) or, when the string starts with
-/// '{', a JSON spec. Throws mcx::ParseError listing the known presets when
-/// the name resolves to nothing.
+/// '{', a JSON spec (inlineSpec). Throws mcx::ParseError listing the known
+/// presets when the name resolves to nothing.
 CircuitSpec makeCircuitSpec(const std::string& nameOrSpec);
 
 }  // namespace mcx

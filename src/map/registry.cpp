@@ -16,9 +16,7 @@ namespace {
 /// preset name or a nested spec; null (the wrapper's default) when absent.
 std::shared_ptr<const IMapper> innerFromSpec(const SpecValue& spec) {
   const SpecValue* inner = spec.find("inner");
-  if (inner == nullptr) return nullptr;
-  if (inner->kind == SpecValue::Kind::String) return makeMapper(inner->string);
-  return mapperFromSpec(*inner);
+  return inner == nullptr ? nullptr : mapperFromSpec(*inner);
 }
 
 std::string knownPresetNames() {
@@ -78,7 +76,9 @@ const MapperPreset* findMapperPreset(const std::string& name) {
 }
 
 std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
-  if (!spec.isObject()) throw ParseError("mapper spec: expected a JSON object");
+  if (spec.kind == SpecValue::Kind::String) return makeMapper(spec.string);
+  if (!spec.isObject())
+    throw ParseError("mapper spec: expected a preset name or a JSON object");
 
   if (const SpecValue* preset = spec.find("preset")) {
     requireOnlyKeys(spec, "mapper spec", {"preset"});
@@ -115,35 +115,21 @@ std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
   if (mapper == "approx") {
     requireOnlyKeys(spec, "mapper spec", {"mapper", "inner", "epsilon"});
     ApproxMapperOptions opts;
-    const double epsilon = spec.numberOr("epsilon", opts.epsilon);
-    if (!(epsilon >= 0.0) || epsilon > 1.0)
-      throw ParseError("mapper spec: \"epsilon\" must be in [0, 1]");
-    opts.epsilon = epsilon;
+    opts.epsilon = spec.numberOr("epsilon", opts.epsilon, 0.0, 1.0);
     return std::make_shared<ApproxMapper>(opts, innerFromSpec(spec));
   }
   if (mapper == "colperm") {
     requireOnlyKeys(spec, "mapper spec", {"mapper", "restarts", "seed", "inner"});
     ColumnPermutationOptions opts;
-    const double restarts = spec.numberOr("restarts", static_cast<double>(opts.restarts));
-    if (restarts < 0.0 || restarts > 1e6)
-      throw ParseError("mapper spec: \"restarts\" out of range");
-    opts.restarts = static_cast<std::size_t>(restarts);
-    const double seed = spec.numberOr("seed", static_cast<double>(opts.seed));
-    if (seed < 0.0 || seed > 9007199254740992.0)  // 2^53
-      throw ParseError("mapper spec: \"seed\" must be an integer below 2^53");
-    opts.seed = static_cast<std::uint64_t>(seed);
+    opts.restarts = spec.integerOr("restarts", opts.restarts, 0, 1000000);
+    opts.seed = spec.integerOr("seed", opts.seed, 0, kMaxExactSpecInteger);
     return std::make_shared<ColumnPermutationMapper>(opts, innerFromSpec(spec));
   }
   throw ParseError("mapper spec: unknown mapper \"" + mapper + "\"");
 }
 
 std::shared_ptr<const IMapper> makeMapper(const std::string& nameOrSpec) {
-  std::size_t first = 0;
-  while (first < nameOrSpec.size() &&
-         (nameOrSpec[first] == ' ' || nameOrSpec[first] == '\t' || nameOrSpec[first] == '\n'))
-    ++first;
-  if (first < nameOrSpec.size() && nameOrSpec[first] == '{')
-    return mapperFromSpec(parseSpec(nameOrSpec));
+  if (const std::optional<SpecValue> spec = inlineSpec(nameOrSpec)) return mapperFromSpec(*spec);
 
   const MapperPreset* preset = findMapperPreset(nameOrSpec);
   if (preset == nullptr)

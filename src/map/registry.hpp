@@ -40,12 +40,15 @@ const MapperPreset* findMapperPreset(const std::string& name);
 ///   {"mapper": "colperm", "restarts": 20, "seed": 42, "inner": <spec|name>}
 ///   {"mapper": "approx", "inner": <spec|name>, "epsilon": 0.05}
 ///   {"preset": "hba-nobt"}                      // preset reference
-/// Throws mcx::ParseError on malformed or unknown specs.
+///   "hba-nobt"                                  // a string: as makeMapper
+/// Numeric members are checked by the shared ranged accessors (spec.hpp):
+/// "restarts" an integer in [0, 1e6], "seed" in [0, 2^53], "epsilon" in
+/// [0, 1]. Throws mcx::ParseError on malformed or unknown specs.
 std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec);
 
 /// Resolve a mapper string: a preset name ("hba") or, when the string
-/// starts with '{', a JSON spec. Throws mcx::ParseError listing the known
-/// presets when the name is unknown.
+/// starts with '{', a JSON spec (inlineSpec). Throws mcx::ParseError
+/// listing the known presets when the name is unknown.
 std::shared_ptr<const IMapper> makeMapper(const std::string& nameOrSpec);
 
 }  // namespace mcx

@@ -6,6 +6,18 @@ namespace mcx {
 
 namespace {
 
+/// A preset at @p rate. A rate outside the family's domain (the gradient's
+/// edge is 1.5 x rate) is a ParseError naming the preset, not the model
+/// constructor's precondition text.
+std::shared_ptr<const DefectModel> buildPreset(const ScenarioPreset& preset, double rate) {
+  try {
+    return preset.make(rate);
+  } catch (const InvalidArgument&) {
+    throw ParseError("scenario \"" + preset.name + "\" is undefined at rate " +
+                     specText(rate));
+  }
+}
+
 std::shared_ptr<const DefectModel> makeClustered(double rate) {
   // Expected visited cells per cluster is 1 / (1 - spread); pick the seed
   // density so the expected defective fraction matches the budget. (Walk
@@ -75,8 +87,18 @@ const ScenarioPreset* findScenarioPreset(const std::string& name) {
   return nullptr;
 }
 
-std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
-  if (!spec.isObject()) throw ParseError("scenario spec: expected a JSON object");
+std::pair<double, double> iidRatesFromSpec(const SpecValue& spec, double openFallback) {
+  const double open = spec.numberOr("open", openFallback, 0.0, 1.0);
+  const double closed = spec.numberOr("closed", 0.0, 0.0, 1.0);
+  if (open + closed > 1.0)
+    throw ParseError("members \"open\" + \"closed\" must not exceed 1");
+  return {open, closed};
+}
+
+std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double rate) {
+  if (spec.kind == SpecValue::Kind::String) return makeScenario(spec.string, rate);
+  if (!spec.isObject())
+    throw ParseError("scenario spec: expected a preset name or a JSON object");
 
   if (const SpecValue* preset = spec.find("preset")) {
     requireOnlyKeys(spec, "scenario spec", {"preset", "rate"});
@@ -85,44 +107,42 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
     const ScenarioPreset* found = findScenarioPreset(preset->string);
     if (found == nullptr)
       throw ParseError("scenario spec: unknown preset \"" + preset->string + "\"");
-    return found->make(spec.numberOr("rate", 0.10));
+    return buildPreset(*found, spec.numberOr("rate", 0.10, 0.0, 1.0));
   }
 
   const std::string model = spec.stringOr("model", "");
-  if (model == "iid") {
+  if (model == "iid" || model == "iid-sparse") {
     requireOnlyKeys(spec, "scenario spec", {"model", "open", "closed"});
-    return std::make_shared<IidBernoulli>(spec.numberOr("open", 0.10),
-                                          spec.numberOr("closed", 0.0));
-  }
-  if (model == "iid-sparse") {
-    requireOnlyKeys(spec, "scenario spec", {"model", "open", "closed"});
-    return std::make_shared<SparseIidBernoulli>(spec.numberOr("open", 0.10),
-                                                spec.numberOr("closed", 0.0));
+    const auto [open, closed] = iidRatesFromSpec(spec, 0.10);
+    if (model == "iid") return std::make_shared<IidBernoulli>(open, closed);
+    return std::make_shared<SparseIidBernoulli>(open, closed);
   }
   if (model == "clustered") {
     requireOnlyKeys(spec, "scenario spec", {"model", "density", "spread", "closedShare"});
     ClusteredDefects::Params p;
-    p.clusterDensity = spec.numberOr("density", p.clusterDensity);
+    p.clusterDensity = spec.numberOr("density", p.clusterDensity, 0.0, 1.0);
     p.spread = spec.numberOr("spread", p.spread);
-    p.stuckClosedShare = spec.numberOr("closedShare", p.stuckClosedShare);
+    if (!(p.spread >= 0.0 && p.spread < 1.0))  // at 1 a cluster never stops growing
+      throw ParseError("member \"spread\" must be a number in [0, 1)");
+    p.stuckClosedShare = spec.numberOr("closedShare", p.stuckClosedShare, 0.0, 1.0);
     return std::make_shared<ClusteredDefects>(p);
   }
   if (model == "lines") {
     requireOnlyKeys(spec, "scenario spec",
                     {"model", "rowClosed", "colClosed", "rowOpen", "colOpen"});
     LineCorrelated::Params p;
-    p.rowStuckClosedRate = spec.numberOr("rowClosed", 0.0);
-    p.colStuckClosedRate = spec.numberOr("colClosed", 0.0);
-    p.rowStuckOpenRate = spec.numberOr("rowOpen", 0.0);
-    p.colStuckOpenRate = spec.numberOr("colOpen", 0.0);
+    p.rowStuckClosedRate = spec.numberOr("rowClosed", 0.0, 0.0, 1.0);
+    p.colStuckClosedRate = spec.numberOr("colClosed", 0.0, 0.0, 1.0);
+    p.rowStuckOpenRate = spec.numberOr("rowOpen", 0.0, 0.0, 1.0);
+    p.colStuckOpenRate = spec.numberOr("colOpen", 0.0, 0.0, 1.0);
     return std::make_shared<LineCorrelated>(p);
   }
   if (model == "gradient") {
     requireOnlyKeys(spec, "scenario spec", {"model", "center", "edge", "closedShare"});
     RadialGradient::Params p;
-    p.centerRate = spec.numberOr("center", p.centerRate);
-    p.edgeRate = spec.numberOr("edge", p.edgeRate);
-    p.stuckClosedShare = spec.numberOr("closedShare", p.stuckClosedShare);
+    p.centerRate = spec.numberOr("center", p.centerRate, 0.0, 1.0);
+    p.edgeRate = spec.numberOr("edge", p.edgeRate, 0.0, 1.0);
+    p.stuckClosedShare = spec.numberOr("closedShare", p.stuckClosedShare, 0.0, 1.0);
     return std::make_shared<RadialGradient>(p);
   }
   if (model == "composite") {
@@ -140,12 +160,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec) {
 }
 
 std::shared_ptr<const DefectModel> makeScenario(const std::string& nameOrSpec, double rate) {
-  std::size_t first = 0;
-  while (first < nameOrSpec.size() &&
-         (nameOrSpec[first] == ' ' || nameOrSpec[first] == '\t' || nameOrSpec[first] == '\n'))
-    ++first;
-  if (first < nameOrSpec.size() && nameOrSpec[first] == '{')
-    return modelFromSpec(parseSpec(nameOrSpec));
+  if (const std::optional<SpecValue> spec = inlineSpec(nameOrSpec)) return modelFromSpec(*spec);
 
   const ScenarioPreset* preset = findScenarioPreset(nameOrSpec);
   if (preset == nullptr) {
@@ -157,7 +172,7 @@ std::shared_ptr<const DefectModel> makeScenario(const std::string& nameOrSpec, d
     throw ParseError("unknown scenario \"" + nameOrSpec + "\" (known presets: " + known +
                      "; or pass a JSON spec)");
   }
-  return preset->make(rate);
+  return buildPreset(*preset, rate);
 }
 
 const std::vector<double>& standardRateGrid() {

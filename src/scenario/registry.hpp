@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/defect_model.hpp"
@@ -41,12 +42,24 @@ const ScenarioPreset* findScenarioPreset(const std::string& name);
 ///   {"model": "gradient",  "center": 0.02, "edge": 0.30, "closedShare": 0.0}
 ///   {"model": "composite", "label": "...", "parts": [ <spec>, <spec>, ... ]}
 ///   {"preset": "clustered", "rate": 0.08}          // preset reference
-/// Throws mcx::ParseError on malformed or unknown specs.
-std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec);
+///   "clustered"                                    // a string: makeScenario
+/// Every rate, density, share and spread lies in [0, 1] (spread below 1),
+/// and an i.i.d. pair's open + closed <= 1. A string value resolves as
+/// makeScenario(string, @p rate); an object carries its own parameters
+/// (a preset reference's "rate" defaults to 0.10). Throws mcx::ParseError
+/// on malformed, unknown or out-of-range specs.
+std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double rate = 0.10);
+
+/// The i.i.d. "open"/"closed" pair of @p spec (a model spec or a serve
+/// request's legacy pair): each in [0, 1], together at most 1; "open"
+/// defaults to @p openFallback, "closed" to 0. Throws mcx::ParseError.
+std::pair<double, double> iidRatesFromSpec(const SpecValue& spec, double openFallback);
 
 /// Resolve a scenario string: a preset name ("paper-iid", built at
 /// @p rate) or, when the string starts with '{', a JSON spec (in which case
-/// @p rate is ignored — the spec carries its own parameters).
+/// @p rate is ignored — the spec carries its own parameters). Throws
+/// mcx::ParseError on an unknown name, a bad spec, or a rate outside the
+/// preset's domain.
 std::shared_ptr<const DefectModel> makeScenario(const std::string& nameOrSpec,
                                                 double rate = 0.10);
 

@@ -1,6 +1,7 @@
 #include "scenario/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -21,7 +22,7 @@ public:
 
 private:
   [[noreturn]] void fail(const std::string& msg) const {
-    throw ParseError("scenario spec: " + msg + " at offset " + std::to_string(pos_));
+    throw ParseError("JSON: " + msg + " at offset " + std::to_string(pos_));
   }
 
   void require(bool cond, const char* msg) const {
@@ -209,6 +210,30 @@ double SpecValue::numberOr(const std::string& key, double fallback) const {
   return v->number;
 }
 
+double SpecValue::numberOr(const std::string& key, double fallback, double min,
+                           double max) const {
+  if (find(key) == nullptr) return fallback;
+  const double value = numberOr(key, fallback);
+  if (!(value >= min && value <= max))
+    throw ParseError("member \"" + key + "\" must be a number in [" + specText(min) + ", " +
+                     specText(max) + "]");
+  return value;
+}
+
+std::uint64_t SpecValue::integerOr(const std::string& key, std::uint64_t fallback,
+                                   std::uint64_t min, std::uint64_t max) const {
+  if (find(key) == nullptr) return fallback;
+  const double d = numberOr(key, 0.0);
+  // Check before the cast: a negative, fractional or >= 2^64 double has no
+  // uint64_t value (the cast would be undefined behaviour).
+  const bool integral = d >= 0.0 && d == std::floor(d) && d < 18446744073709551616.0;
+  const std::uint64_t value = integral ? static_cast<std::uint64_t>(d) : 0;
+  if (!integral || value < min || value > max)
+    throw ParseError("member \"" + key + "\" must be an integer in [" + std::to_string(min) +
+                     ", " + std::to_string(max) + "]");
+  return value;
+}
+
 std::string SpecValue::stringOr(const std::string& key, const std::string& fallback) const {
   const SpecValue* v = find(key);
   if (v == nullptr) return fallback;
@@ -226,6 +251,12 @@ bool SpecValue::boolOr(const std::string& key, bool fallback) const {
 }
 
 SpecValue parseSpec(const std::string& text) { return Parser(text).parseDocument(); }
+
+std::optional<SpecValue> inlineSpec(const std::string& text) {
+  const std::size_t first = text.find_first_not_of(" \t\n");
+  if (first == std::string::npos || text[first] != '{') return std::nullopt;
+  return parseSpec(text);
+}
 
 std::string specText(double number) {
   char buf[32];

@@ -17,10 +17,11 @@
 //   mapper       preset name or mapper spec object (default "hba")
 //   scenario     preset name or model spec object; absent = the legacy
 //                IidBernoulli at `open`/`closed` (builder legacyRates)
-//   rate         preset scenario rate (default 0.10)
-//   open/closed  legacy rate pair, open + closed <= 1 (scenario absent only)
+//   rate         preset scenario rate in [0, 1] (default 0.10)
+//   open/closed  legacy rate pair in [0, 1], open + closed <= 1 (scenario
+//                absent only)
 //   samples      Monte Carlo samples, 1..maxSamples (default 200)
-//   seed         RNG root seed (default 1)
+//   seed         RNG root seed, an exact integer (default 1)
 //   spare_rows   redundancy rows, 0..1024 (default 0)
 //   multilevel   override the circuit spec's realization (optional bool)
 //   deadline_ms  per-request time budget, measured from ADMISSION —
@@ -78,10 +79,12 @@ struct Request {
   Lane lane = Lane::Interactive;
 };
 
-/// Parse and validate one request line. Throws ServeError(ErrorCode::Parse)
-/// on malformed JSON, unknown members, unresolvable registry names, or
-/// out-of-range values — never anything else, and never crashes or hangs on
-/// adversarial input (fuzz-tested; the JSON parser depth-caps nesting).
+/// Parse and validate one request line with the shared declaration reader
+/// (scenario/spec.hpp). Throws ServeError(ErrorCode::Parse) on malformed
+/// JSON, unknown members, unresolvable registry names, or out-of-range
+/// values — never anything else, never with a source location in the
+/// message, and never crashes or hangs on adversarial input (fuzz-tested;
+/// the JSON parser depth-caps nesting).
 Request parseRequest(const std::string& line, const RequestLimits& limits);
 
 /// Best-effort id extraction from a line that failed parseRequest, so even

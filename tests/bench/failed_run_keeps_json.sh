@@ -3,8 +3,9 @@
 # cell. For the grid, synthesis fails (exact QM is limited to 12 inputs;
 # t481 has 16) and the driver reports it as a usage-class error; the two
 # hand-written suites are interrupted mid-run. An empty --json path is a
-# failed write: the suite still runs in full, then exits 2. --samples 0 is
-# a usage error rejected before the suite runs.
+# failed write: the suite still runs in full, then exits 2. --samples 0, and
+# "samples": 0 in a --sweep document, are usage errors rejected before the
+# suite runs.
 #
 # Usage: sh failed_run_keeps_json.sh <path-to-mcx_bench>
 set -u
@@ -31,6 +32,21 @@ code=$?
 grep -q -e '--samples: must be at least 1' "$DIR/err.txt" ||
   fail "--samples 0: missing '--samples: must be at least 1' message"
 cmp -s "$DIR/f.json" "$DIR/before.json" || fail "--samples 0: f.json was modified"
+
+# --sweep's members obey the flags' rules: zero or fractional samples and an
+# out-of-range rate are usage errors, not a grid of zero-count cells, a
+# truncated count, or a model the declaration did not name.
+for sweep in '{"samples":0,"circuits":["rd53"],"scenarios":["paper-iid"],"rates":[0.1]}' \
+             '{"samples":2.5}' '{"rates":[5]}'; do
+  "$BENCH" scenarios --sweep "$sweep" --json "$DIR/f.json" > "$DIR/out.txt" 2> "$DIR/err.txt"
+  code=$?
+  [ "$code" -eq 2 ] || fail "--sweep $sweep: expected exit 2, got $code"
+  grep -q '^mcx_bench scenarios: ' "$DIR/err.txt" ||
+    fail "--sweep $sweep: missing 'mcx_bench scenarios: ' message"
+  cmp -s "$DIR/f.json" "$DIR/before.json" || fail "--sweep $sweep: f.json was modified"
+done
+grep -q 'must be numbers in \[0, 1\]' "$DIR/err.txt" ||
+  fail "--sweep rates [5]: missing the rate range in the message"
 
 "$BENCH" multilevel --samples 3 --json "" > "$DIR/out.txt" 2> "$DIR/err.txt"
 code=$?

@@ -39,6 +39,11 @@ TEST(CircuitRegistry, MakeCircuitSpecResolvesPresetsAndSources) {
   EXPECT_EQ(makeCircuitSpec("  {\"circuit\": \"bw\"}").name, "bw");
   EXPECT_EQ(makeCircuitSpec("gen:parity4").source, CircuitSpec::Source::Generator);
   EXPECT_THROW(makeCircuitSpec("no-such-circuit"), ParseError);
+  // A string value of a declaration resolves exactly as the string.
+  EXPECT_EQ(circuitSpecFromSpec(parseSpec(R"("rd53-min")")).canonical(),
+            makeCircuitSpec("rd53-min").canonical());
+  EXPECT_EQ(makeCircuitSpec(R"({"circuit": "bw", "maxFanin": 3})").maxFanin, 3u);
+  EXPECT_THROW(makeCircuitSpec(R"({"circuit": "bw", "maxFanin": 2.5})"), ParseError);
 }
 
 TEST(CircuitRegistry, MistypedMemberErrorsNameOnlyTheMember) {

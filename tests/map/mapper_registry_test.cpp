@@ -68,6 +68,7 @@ TEST(MapperRegistry, SpecOptionsAreApplied) {
       "HBA-paper-nobt");
   EXPECT_EQ(makeMapper(R"({"mapper": "ea", "munkres": true})")->name(), "EA-munkres");
   EXPECT_EQ(makeMapper(R"({"preset": "fast-ea"})")->name(), "EA-fast");
+  EXPECT_EQ(mapperFromSpec(parseSpec(R"("hba-paper")"))->name(), "HBA-paper");
   EXPECT_EQ(makeMapper(R"({"mapper": "colperm", "restarts": 3, "inner": "hba-nobt"})")->name(),
             "ColPerm+HBA-nobt");
   EXPECT_EQ(makeMapper(
@@ -83,6 +84,11 @@ TEST(MapperRegistry, SpecErrorPaths) {
   EXPECT_THROW(makeMapper(R"({"preset": 3})"), ParseError);
   EXPECT_THROW(makeMapper(R"({"preset": "nope"})"), ParseError);
   EXPECT_THROW(makeMapper(R"({"mapper": "colperm", "restarts": -1})"), ParseError);
+  // Fractions are declaration bugs, not truncations to seed 1 / 2 restarts.
+  EXPECT_THROW(makeMapper(R"({"mapper": "colperm", "seed": 1.5})"), ParseError);
+  EXPECT_THROW(makeMapper(R"({"mapper": "colperm", "restarts": 2.5})"), ParseError);
+  EXPECT_THROW(makeMapper(R"({"mapper": "colperm", "seed": 9007199254740994})"), ParseError);
+  EXPECT_THROW(makeMapper(R"({"mapper": "approx", "epsilon": 1.5})"), ParseError);
   EXPECT_THROW(makeMapper(R"([1, 2])"), ParseError);
 }
 

@@ -54,6 +54,37 @@ TEST(SpecParser, TypedAccessorsRejectWrongTypes) {
   EXPECT_EQ(v.stringOr("absent", "dflt"), "dflt");
 }
 
+TEST(SpecParser, RangedAccessorsRejectFractionsAndOutOfRange) {
+  const SpecValue v = parseSpec(
+      R"({"seed": 7, "half": 1.5, "neg": -1, "huge": 1e300, "rate": 0.25, "name": "x"})");
+  EXPECT_EQ(v.integerOr("seed", 0, 0, 10), 7u);
+  EXPECT_EQ(v.integerOr("absent", 42, 0, 10), 42u);  // the fallback is not checked
+  EXPECT_THROW(v.integerOr("seed", 0, 8, 10), ParseError);
+  EXPECT_THROW(v.integerOr("half", 0, 0, 10), ParseError);
+  EXPECT_THROW(v.integerOr("neg", 0, 0, 10), ParseError);
+  EXPECT_THROW(v.integerOr("huge", 0, 0, UINT64_MAX), ParseError);
+  EXPECT_THROW(v.integerOr("name", 0, 0, 10), ParseError);
+  EXPECT_DOUBLE_EQ(v.numberOr("rate", 0.0, 0.0, 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(v.numberOr("absent", 2.0, 0.0, 1.0), 2.0);
+  EXPECT_THROW(v.numberOr("half", 0.0, 0.0, 1.0), ParseError);
+  try {
+    v.integerOr("half", 0, 1, 1000);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), R"(member "half" must be an integer in [1, 1000])");
+  }
+}
+
+TEST(SpecParser, InlineSpecOnlyForObjects) {
+  EXPECT_FALSE(inlineSpec("hba").has_value());
+  EXPECT_FALSE(inlineSpec("").has_value());
+  EXPECT_FALSE(inlineSpec("sop:x1 + x2").has_value());
+  const std::optional<SpecValue> spec = inlineSpec(" \n\t{\"a\": 1}");
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_TRUE(spec->isObject());
+  EXPECT_THROW(inlineSpec("  {\"a\": "), ParseError);
+}
+
 // --- Presets ----------------------------------------------------------------
 
 TEST(ScenarioRegistry, EveryPresetBuildsAndGenerates) {
@@ -132,6 +163,30 @@ TEST(ScenarioRegistry, SpecRejectsUnknownMembers) {
                ParseError);
   EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "gradient", "density": 0.1})")),
                ParseError);
+}
+
+TEST(ScenarioRegistry, SpecRejectsOutOfRangeMembersAsParseErrors) {
+  // Each of these once ran a different model than declared (a preset rate
+  // of 5 built clustered(density=0.75)) or failed a model constructor's
+  // precondition with a source location in the message.
+  for (const char* text : {R"({"preset": "clustered", "rate": 5})",
+                           R"({"preset": "paper-iid", "rate": -1})",
+                           R"({"model": "clustered", "spread": 1.5})",
+                           R"({"model": "clustered", "spread": 1})",
+                           R"({"model": "iid", "open": 0.7, "closed": 0.7})",
+                           R"({"model": "lines", "rowOpen": 2})",
+                           R"({"model": "gradient", "edge": -0.5})"}) {
+    EXPECT_THROW(makeScenario(text), ParseError) << text;
+  }
+  // A preset past its family's domain (the gradient's edge is 1.5 x rate).
+  EXPECT_THROW(makeScenario("gradient", 0.9), ParseError);
+}
+
+TEST(ScenarioRegistry, SpecAcceptsAPresetNameString) {
+  EXPECT_EQ(modelFromSpec(parseSpec(R"("lines")"), 0.05)->describe(),
+            makeScenario("lines", 0.05)->describe());
+  EXPECT_THROW(modelFromSpec(parseSpec(R"("martian")")), ParseError);
+  EXPECT_THROW(modelFromSpec(parseSpec("3")), ParseError);
 }
 
 TEST(ScenarioRegistry, StandardRateGridIsAscendingAndNonEmpty) {

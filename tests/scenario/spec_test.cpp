@@ -58,13 +58,13 @@ TEST(ModelFromSpec, UnknownModelNameThrows) {
 }
 
 TEST(ModelFromSpec, OutOfRangeRatesThrow) {
-  EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "iid", "open": 1.5})")), Error);
-  EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "iid", "open": -0.1})")), Error);
+  EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "iid", "open": 1.5})")), ParseError);
+  EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "iid", "open": -0.1})")), ParseError);
   EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "iid", "open": 0.6, "closed": 0.6})")),
-               Error);
-  EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "iid-sparse", "open": 2.0})")), Error);
-  EXPECT_THROW(makeScenario("paper-iid", 1.5), Error);
-  EXPECT_THROW(makeScenario("paper-iid", -0.2), Error);
+               ParseError);
+  EXPECT_THROW(modelFromSpec(parseSpec(R"({"model": "iid-sparse", "open": 2.0})")), ParseError);
+  EXPECT_THROW(makeScenario("paper-iid", 1.5), ParseError);
+  EXPECT_THROW(makeScenario("paper-iid", -0.2), ParseError);
 }
 
 TEST(ModelFromSpec, CompositeValidation) {

@@ -94,6 +94,13 @@ TEST(RequestFuzzTest, MalformedShapesTable) {
       R"({"circuit": "rd53-min", "rate": 1.5})",                  // rate out of [0,1]
       R"({"circuit": "rd53-min", "open": -0.1})",                 //
       R"({"circuit": "rd53-min", "open": 0.7, "closed": 0.5})",   // pair over budget
+      R"({"circuit": "rd53-min", "scenario": {"model": "iid", "open": 0.7, "closed": 0.7}})",
+      R"({"circuit": "rd53-min", "scenario": {"model": "clustered", "spread": 1.5}})",
+      R"({"circuit": "rd53-min", "scenario": {"preset": "clustered", "rate": 5}})",
+      R"({"circuit": "rd53-min", "scenario": {"preset": "paper-iid", "rate": -1}})",
+      // Nested fractions: once truncated to seed 1 / 2 restarts.
+      R"({"circuit": "rd53-min", "mapper": {"mapper": "colperm", "seed": 1.5}})",
+      R"({"circuit": "rd53-min", "mapper": {"mapper": "colperm", "restarts": 2.5}})",
       R"({"circuit": "rd53-min", "deadline_ms": 0})",             // must be positive
       R"({"circuit": "rd53-min", "deadline_ms": -5})",            //
       R"({"circuit": "rd53-min", "multilevel": "yes"})",          // wrong type
@@ -116,6 +123,10 @@ TEST(RequestFuzzTest, MalformedShapesTable) {
       FAIL() << "accepted malformed line: " << line;
     } catch (const ServeError& e) {
       EXPECT_EQ(e.code(), ErrorCode::Parse) << line;
+      // A client's error names its declaration, never a source location.
+      const std::string what = e.what();
+      EXPECT_EQ(what.find("requirement failed"), std::string::npos) << line << ": " << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << line << ": " << what;
     } catch (const std::exception& e) {
       FAIL() << "wrong exception type for line: " << line << "\n  what(): " << e.what();
     }

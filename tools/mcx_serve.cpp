@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -323,45 +324,43 @@ int runSocketLoop(mcx::serve::ExperimentService& service, const std::string& pat
   return 0;
 }
 
-/// Background stderr flusher for --metrics-interval: one compact snapshot
-/// line per tick, stopped promptly (condition variable, not a sleep) when
-/// the daemon drains.
-class MetricsFlusher {
+/// A background thread that runs a tick every interval until stop(): the
+/// wait is a condition variable, not a sleep, so a draining daemon stops it
+/// at once. Serves --metrics-interval and the --health-file beat.
+class PeriodicThread {
 public:
-  MetricsFlusher(mcx::serve::ExperimentService& service, double intervalSeconds)
-      : service_(service), intervalSeconds_(intervalSeconds) {
-    if (intervalSeconds_ > 0) thread_ = std::thread([this] { loop(); });
+  PeriodicThread() = default;
+  PeriodicThread(const PeriodicThread&) = delete;
+  PeriodicThread& operator=(const PeriodicThread&) = delete;
+  ~PeriodicThread() { stop(); }
+
+  void start(double intervalSeconds, std::function<void()> tick) {
+    thread_ = std::thread([this, intervalSeconds, tick = std::move(tick)] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      while (!wake_.wait_for(lock, std::chrono::duration<double>(intervalSeconds),
+                             [this] { return stop_; })) {
+        lock.unlock();
+        tick();
+        lock.lock();
+      }
+    });
   }
-  ~MetricsFlusher() {
+
+  /// Stop and join; true when a thread was running.
+  bool stop() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       stop_ = true;
     }
-    tick_.notify_all();
-    if (thread_.joinable()) thread_.join();
+    wake_.notify_all();
+    if (!thread_.joinable()) return false;
+    thread_.join();
+    return true;
   }
 
 private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (tick_.wait_for(lock, std::chrono::duration<double>(intervalSeconds_),
-                         [this] { return stop_; }))
-        return;
-      lock.unlock();
-      // One pre-built string per tick: stderr is unbuffered, and the final
-      // counters flush may race this thread — whole-line writes keep both
-      // readable.
-      std::cerr << ("mcx_serve: metrics " + service_.statsJson(false) + "\n")
-                << std::flush;
-      lock.lock();
-    }
-  }
-
-  mcx::serve::ExperimentService& service_;
-  double intervalSeconds_;
   std::mutex mutex_;
-  std::condition_variable tick_;
+  std::condition_variable wake_;
   bool stop_ = false;
   std::thread thread_;
 };
@@ -376,20 +375,14 @@ class HealthBeat {
 public:
   HealthBeat(mcx::serve::ExperimentService& service, std::string path,
              double intervalSeconds)
-      : service_(service), path_(std::move(path)), intervalSeconds_(intervalSeconds) {
-    if (!path_.empty() && intervalSeconds_ > 0) {
+      : service_(service), path_(std::move(path)) {
+    if (!path_.empty() && intervalSeconds > 0) {
       beat();  // the file exists as soon as the daemon is serving
-      thread_ = std::thread([this] { loop(); });
+      beats_.start(intervalSeconds, [this] { beat(); });
     }
   }
   ~HealthBeat() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    tick_.notify_all();
-    if (thread_.joinable()) {
-      thread_.join();
+    if (beats_.stop()) {
       beat();  // last words: status "draining"
       std::remove(path_.c_str());
     }
@@ -406,25 +399,9 @@ private:
     std::rename(tmp.c_str(), path_.c_str());
   }
 
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (tick_.wait_for(lock, std::chrono::duration<double>(intervalSeconds_),
-                         [this] { return stop_; }))
-        return;
-      lock.unlock();
-      beat();
-      lock.lock();
-    }
-  }
-
   mcx::serve::ExperimentService& service_;
   std::string path_;
-  double intervalSeconds_;
-  std::mutex mutex_;
-  std::condition_variable tick_;
-  bool stop_ = false;
-  std::thread thread_;
+  PeriodicThread beats_;
 };
 
 }  // namespace
@@ -518,7 +495,14 @@ int main(int argc, char** argv) {
     mcx::serve::ExperimentService service(options, [](const std::string& line) {
       std::cout << line << "\n" << std::flush;
     });
-    const MetricsFlusher flusher(service, metricsInterval);
+    PeriodicThread metrics;
+    if (metricsInterval > 0)
+      metrics.start(metricsInterval, [&service] {
+        // One pre-built string per tick: stderr is unbuffered, and the final
+        // counters flush may race this thread — whole-line writes keep both
+        // readable.
+        std::cerr << ("mcx_serve: metrics " + service.statsJson(false) + "\n") << std::flush;
+      });
     const HealthBeat health(service, healthFile, healthInterval);
 
     if (socketPath.empty())
