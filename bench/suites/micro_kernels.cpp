@@ -4,7 +4,8 @@
 // and the bw deck, on a reused context), and the
 // three layers of the Monte Carlo hot path (legacy vs sparse sampling, the
 // candidate adjacency, Hopcroft-Karp) on the bw
-// multi-level workload at the paper's 10% stuck-open rate, the approx
+// multi-level workload at the paper's 10% stuck-open rate (the legacy
+// sweep also on sao2's two-level shape at 15%), the approx
 // mapper's rescue of inner-mapper failures, plus the memoized synthesis
 // front-end (full pipeline compile vs cache hit), and the telemetry layer's
 // own overhead (counter adds, histogram records, disarmed vs histogram-fed
@@ -127,9 +128,18 @@ const FunctionMatrix& bwFunctionMatrix() {
   return bw->fm;
 }
 
-void BM_SamplerLegacy(benchmark::State& state) {
-  const FunctionMatrix& fm = bwFunctionMatrix();
-  const IidBernoulli model(0.10, 0.0);
+const FunctionMatrix& sao2FunctionMatrix() {
+  static const std::shared_ptr<const Circuit> sao2 = compileCircuit("sao2");
+  return sao2->fm;
+}
+
+// The legacy dense sweep on the bw multi-level shape (289x299) at the
+// paper's 10% stuck-open, and on sao2's two-level shape (62x28) at 15%, the
+// mc-twolevel-mixed workload's legacy cell.
+void BM_SamplerLegacy(benchmark::State& state, const FunctionMatrix& (*circuit)(),
+                      double open) {
+  const FunctionMatrix& fm = circuit();
+  const IidBernoulli model(open, 0.0);
   Rng rng(6);
   DefectMap map;
   for (auto _ : state) {
@@ -137,7 +147,8 @@ void BM_SamplerLegacy(benchmark::State& state) {
     benchmark::DoNotOptimize(map);
   }
 }
-BENCHMARK(BM_SamplerLegacy);
+BENCHMARK_CAPTURE(BM_SamplerLegacy, bw, &bwFunctionMatrix, 0.10);
+BENCHMARK_CAPTURE(BM_SamplerLegacy, sao2, &sao2FunctionMatrix, 0.15);
 
 // A deck of 64 consecutive bw samples (seed 6) shared by the sampler,
 // adjacency and matching rows. Each iteration takes the next card, so a row

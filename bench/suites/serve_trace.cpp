@@ -10,6 +10,12 @@
 // quantiles), per-stage queue-wait and synthesis-time distributions, shed
 // and deadline-miss counts for both passes.
 //
+// Only the parse counts regenerate exactly. Which requests of the burst
+// find the queue full depends on how fast the workers drain it, so the
+// warm pass's shed_overloaded and completed_ok (and every latency) vary
+// from run to run and from host to host; the self-checks assert that the
+// burst sheds, not how much.
+//
 // Usage:
 //   mcx_bench serve-trace [--requests N] [--queue-depth N] [--pool-threads N]
 //                         [--seed S] [--json PATH]
@@ -190,8 +196,8 @@ void writePass(JsonWriter& json, const char* label, const PassResult& pass) {
   json.field("parse_errors", pass.counters.parseErrors);
   json.field("shed_overloaded", pass.counters.shedOverloaded);
   // Governance breakdown: which shedder did the work (all zero at the
-  // default knobs — the committed invariants ok+ddl/parse/shed are measured
-  // with governance off, and MUST stay identical when it merely exists).
+  // default knobs: the governance shedders stay off unless armed, whatever
+  // the timing-dependent queue-full shed count above reads).
   json.field("client_shed", pass.counters.clientShed);
   json.field("cost_shed", pass.counters.costShed);
   json.field("batch_shed", pass.counters.batchShed);

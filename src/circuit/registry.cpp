@@ -103,17 +103,15 @@ CircuitSpec resolveSource(const std::string& source) {
                    "or a JSON spec)");
 }
 
-}  // namespace
-
-CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
+CircuitSpec readCircuitSpec(const SpecValue& spec) {
   if (spec.kind == SpecValue::Kind::String) return makeCircuitSpec(spec.string);
   if (!spec.isObject())
-    throw ParseError("circuit spec: expected a preset name, a source or a JSON object");
-  requireOnlyKeys(spec, "circuit spec",
+    throw ParseError("circuit: expected a preset name, a source or a JSON object");
+  requireOnlyKeys(spec, "circuit",
                   {"circuit", "synth", "realize", "factoring", "maxFanin", "label"});
 
   const std::string source = spec.stringOr("circuit", "");
-  if (source.empty()) throw ParseError("circuit spec: missing \"circuit\" member");
+  if (source.empty()) throw ParseError("circuit: missing \"circuit\" member");
   CircuitSpec result = resolveSource(source);
 
   if (spec.find("synth") != nullptr)
@@ -131,6 +129,12 @@ CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
   result.maxFanin = spec.integerOr("maxFanin", result.maxFanin, 0, 1000000);
   if (spec.find("label") != nullptr) result.label = spec.stringOr("label", "");
   return result;
+}
+
+}  // namespace
+
+CircuitSpec circuitSpecFromSpec(const SpecValue& spec) {
+  return readInContext("circuit", [&] { return readCircuitSpec(spec); });
 }
 
 CircuitSpec makeCircuitSpec(const std::string& nameOrSpec) {

@@ -37,7 +37,7 @@ const CircuitPreset* findCircuitPreset(const std::string& name);
 /// gen:, see circuitSourceSpec); the remaining members override the base
 /// declaration; "maxFanin" is an integer in [0, 1e6]. A string value
 /// resolves as makeCircuitSpec. Throws mcx::ParseError on unknown members
-/// or values.
+/// or values; its message starts with "circuit: ".
 CircuitSpec circuitSpecFromSpec(const SpecValue& spec);
 
 /// Resolve a circuit string: a preset name ("bw"), a prefixed source

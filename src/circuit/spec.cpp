@@ -83,14 +83,14 @@ CircuitSpec::Synth synthFromString(const std::string& text) {
   if (text == "espresso") return CircuitSpec::Synth::Espresso;
   if (text == "qm") return CircuitSpec::Synth::Qm;
   if (text == "isop") return CircuitSpec::Synth::Isop;
-  throw ParseError("circuit spec: unknown synth \"" + text +
+  throw ParseError("circuit: unknown synth \"" + text +
                    "\" (valid: none, espresso, qm, isop)");
 }
 
 CircuitSpec::Realize realizeFromString(const std::string& text) {
   if (text == "two-level") return CircuitSpec::Realize::TwoLevel;
   if (text == "multilevel" || text == "multi-level") return CircuitSpec::Realize::MultiLevel;
-  throw ParseError("circuit spec: unknown realize \"" + text +
+  throw ParseError("circuit: unknown realize \"" + text +
                    "\" (valid: two-level, multilevel)");
 }
 
@@ -99,20 +99,20 @@ CircuitSpec::Factoring factoringFromString(const std::string& text) {
   if (text == "flat") return CircuitSpec::Factoring::Flat;
   if (text == "kernel") return CircuitSpec::Factoring::Kernel;
   if (text == "best") return CircuitSpec::Factoring::Best;
-  throw ParseError("circuit spec: unknown factoring \"" + text +
+  throw ParseError("circuit: unknown factoring \"" + text +
                    "\" (valid: quick, flat, kernel, best)");
 }
 
 GeneratorId parseGeneratorId(const std::string& id) {
   const auto digits = id.find_first_of("0123456789");
   if (digits == 0 || digits == std::string::npos)
-    throw ParseError("circuit spec: generator id must be <family><size>, e.g. "
+    throw ParseError("circuit: generator id must be <family><size>, e.g. "
                      "gen:weight5 (got \"" + id + "\")");
   GeneratorId gen;
   gen.family = id.substr(0, digits);
   if (gen.family != "weight" && gen.family != "sqrt" && gen.family != "parity" &&
       gen.family != "majority" && gen.family != "adder" && gen.family != "nn-")
-    throw ParseError("circuit spec: unknown generator family \"" + gen.family +
+    throw ParseError("circuit: unknown generator family \"" + gen.family +
                      "\" (valid: weight, sqrt, parity, majority, adder, nn-)");
   const std::string sizeText = id.substr(digits);
   if (gen.family == "nn-") {
@@ -120,36 +120,36 @@ GeneratorId parseGeneratorId(const std::string& id) {
     // a bad declaration fails at parse time, not mid-experiment.
     const auto x = sizeText.find('x');
     if (x == std::string::npos)
-      throw ParseError("circuit spec: nn generator id must be nn-<nin>x<nout>, e.g. "
+      throw ParseError("circuit: nn generator id must be nn-<nin>x<nout>, e.g. "
                        "gen:nn-8x4 (got \"" + id + "\")");
     const std::string ninText = sizeText.substr(0, x);
     const std::string noutText = sizeText.substr(x + 1);
     const auto [ninEnd, ninEc] =
         std::from_chars(ninText.data(), ninText.data() + ninText.size(), gen.size);
     if (ninEc != std::errc() || ninEnd != ninText.data() + ninText.size() || gen.size == 0)
-      throw ParseError("circuit spec: bad nn input count \"" + ninText + "\"");
+      throw ParseError("circuit: bad nn input count \"" + ninText + "\"");
     const auto [noutEnd, noutEc] =
         std::from_chars(noutText.data(), noutText.data() + noutText.size(), gen.size2);
     if (noutEc != std::errc() || noutEnd != noutText.data() + noutText.size() ||
         gen.size2 == 0)
-      throw ParseError("circuit spec: bad nn output count \"" + noutText + "\"");
+      throw ParseError("circuit: bad nn output count \"" + noutText + "\"");
     if (gen.size > 16)
-      throw ParseError("circuit spec: generator \"" + id + "\" needs " +
+      throw ParseError("circuit: generator \"" + id + "\" needs " +
                        std::to_string(gen.size) + " inputs, beyond the 16-input bound");
     if (gen.size2 > 16)
-      throw ParseError("circuit spec: generator \"" + id + "\" declares " +
+      throw ParseError("circuit: generator \"" + id + "\" declares " +
                        std::to_string(gen.size2) + " outputs, beyond the 16-output bound");
     return gen;
   }
   const auto [end, ec] =
       std::from_chars(sizeText.data(), sizeText.data() + sizeText.size(), gen.size);
   if (ec != std::errc() || end != sizeText.data() + sizeText.size() || gen.size == 0)
-    throw ParseError("circuit spec: bad generator size \"" + sizeText + "\"");
+    throw ParseError("circuit: bad generator size \"" + sizeText + "\"");
   // Truth tables are explicit 2^n objects; bound the input count so the
   // declaration fails fast instead of mid-experiment.
   const std::size_t inputs = gen.family == "adder" ? 2 * gen.size : gen.size;
   if (inputs > 16)
-    throw ParseError("circuit spec: generator \"" + id + "\" needs " +
+    throw ParseError("circuit: generator \"" + id + "\" needs " +
                      std::to_string(inputs) + " inputs, beyond the 16-input bound");
   return gen;
 }
@@ -159,22 +159,22 @@ CircuitSpec circuitSourceSpec(const std::string& source) {
   if (source.starts_with("file:")) {
     spec.source = CircuitSpec::Source::File;
     spec.name = source.substr(5);
-    if (spec.name.empty()) throw ParseError("circuit spec: empty file: path");
+    if (spec.name.empty()) throw ParseError("circuit: empty file: path");
     // Fail at declaration time, not deep inside an experiment run.
     std::ifstream probe(spec.name);
-    if (!probe) throw ParseError("circuit spec: cannot open PLA file: " + spec.name);
+    if (!probe) throw ParseError("circuit: cannot open PLA file: " + spec.name);
     return spec;
   }
   if (source.starts_with("pla:")) {
     spec.source = CircuitSpec::Source::InlinePla;
     spec.text = source.substr(4);
-    if (spec.text.empty()) throw ParseError("circuit spec: empty pla: text");
+    if (spec.text.empty()) throw ParseError("circuit: empty pla: text");
     return spec;
   }
   if (source.starts_with("sop:")) {
     spec.source = CircuitSpec::Source::InlineSop;
     spec.text = source.substr(4);
-    if (spec.text.empty()) throw ParseError("circuit spec: empty sop: text");
+    if (spec.text.empty()) throw ParseError("circuit: empty sop: text");
     return spec;
   }
   if (source.starts_with("gen:")) {

@@ -75,57 +75,65 @@ const MapperPreset* findMapperPreset(const std::string& name) {
   return nullptr;
 }
 
-std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
+namespace {
+
+std::shared_ptr<const IMapper> readMapper(const SpecValue& spec) {
   if (spec.kind == SpecValue::Kind::String) return makeMapper(spec.string);
   if (!spec.isObject())
-    throw ParseError("mapper spec: expected a preset name or a JSON object");
+    throw ParseError("mapper: expected a preset name or a JSON object");
 
   if (const SpecValue* preset = spec.find("preset")) {
-    requireOnlyKeys(spec, "mapper spec", {"preset"});
+    requireOnlyKeys(spec, "mapper", {"preset"});
     if (preset->kind != SpecValue::Kind::String)
-      throw ParseError("mapper spec: \"preset\" must be a string");
+      throw ParseError("mapper: \"preset\" must be a string");
     const MapperPreset* found = findMapperPreset(preset->string);
     if (found == nullptr)
-      throw ParseError("mapper spec: unknown preset \"" + preset->string + "\"");
+      throw ParseError("mapper: unknown preset \"" + preset->string + "\"");
     return found->make();
   }
 
   const std::string mapper = spec.stringOr("mapper", "");
   if (mapper == "hba") {
-    requireOnlyKeys(spec, "mapper spec", {"mapper", "backtracking", "sortByCandidates"});
+    requireOnlyKeys(spec, "mapper", {"mapper", "backtracking", "sortByCandidates"});
     HybridMapperOptions opts;
     opts.backtracking = spec.boolOr("backtracking", opts.backtracking);
     opts.sortByCandidates = spec.boolOr("sortByCandidates", opts.sortByCandidates);
     return std::make_shared<HybridMapper>(opts);
   }
   if (mapper == "ea") {
-    requireOnlyKeys(spec, "mapper spec", {"mapper", "munkres"});
+    requireOnlyKeys(spec, "mapper", {"mapper", "munkres"});
     ExactMapperOptions opts;
     opts.useMunkres = spec.boolOr("munkres", opts.useMunkres);
     return std::make_shared<ExactMapper>(opts);
   }
   if (mapper == "fast-ea") {
-    requireOnlyKeys(spec, "mapper spec", {"mapper"});
+    requireOnlyKeys(spec, "mapper", {"mapper"});
     return std::make_shared<FastExactMapper>();
   }
   if (mapper == "greedy") {
-    requireOnlyKeys(spec, "mapper spec", {"mapper"});
+    requireOnlyKeys(spec, "mapper", {"mapper"});
     return std::make_shared<GreedyMapper>();
   }
   if (mapper == "approx") {
-    requireOnlyKeys(spec, "mapper spec", {"mapper", "inner", "epsilon"});
+    requireOnlyKeys(spec, "mapper", {"mapper", "inner", "epsilon"});
     ApproxMapperOptions opts;
     opts.epsilon = spec.numberOr("epsilon", opts.epsilon, 0.0, 1.0);
     return std::make_shared<ApproxMapper>(opts, innerFromSpec(spec));
   }
   if (mapper == "colperm") {
-    requireOnlyKeys(spec, "mapper spec", {"mapper", "restarts", "seed", "inner"});
+    requireOnlyKeys(spec, "mapper", {"mapper", "restarts", "seed", "inner"});
     ColumnPermutationOptions opts;
     opts.restarts = spec.integerOr("restarts", opts.restarts, 0, 1000000);
     opts.seed = spec.integerOr("seed", opts.seed, 0, kMaxExactSpecInteger);
     return std::make_shared<ColumnPermutationMapper>(opts, innerFromSpec(spec));
   }
-  throw ParseError("mapper spec: unknown mapper \"" + mapper + "\"");
+  throw ParseError("mapper: unknown mapper \"" + mapper + "\"");
+}
+
+}  // namespace
+
+std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec) {
+  return readInContext("mapper", [&] { return readMapper(spec); });
 }
 
 std::shared_ptr<const IMapper> makeMapper(const std::string& nameOrSpec) {

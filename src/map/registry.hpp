@@ -43,7 +43,8 @@ const MapperPreset* findMapperPreset(const std::string& name);
 ///   "hba-nobt"                                  // a string: as makeMapper
 /// Numeric members are checked by the shared ranged accessors (spec.hpp):
 /// "restarts" an integer in [0, 1e6], "seed" in [0, 2^53], "epsilon" in
-/// [0, 1]. Throws mcx::ParseError on malformed or unknown specs.
+/// [0, 1]. Throws mcx::ParseError on malformed or unknown specs; its
+/// message starts with "mapper: ".
 std::shared_ptr<const IMapper> mapperFromSpec(const SpecValue& spec);
 
 /// Resolve a mapper string: a preset name ("hba") or, when the string

@@ -1,6 +1,8 @@
 #include "scenario/defect_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <type_traits>
 
@@ -21,6 +23,16 @@ std::string percent(double v) {
 void mark(DefectMap& map, std::size_t r, std::size_t c, DefectType t) {
   if (map.isStuckClosed(r, c)) return;
   map.setType(r, c, t);
+}
+
+/// @p w with bit i moved to bit 63 - i: a byte swap, then nibbles, pairs
+/// and bits swapped within each byte.
+BitMatrix::Word reverseBits(BitMatrix::Word w) {
+  w = __builtin_bswap64(w);
+  w = ((w >> 4) & 0x0f0f0f0f0f0f0f0full) | ((w & 0x0f0f0f0f0f0f0f0full) << 4);
+  w = ((w >> 2) & 0x3333333333333333ull) | ((w & 0x3333333333333333ull) << 2);
+  w = ((w >> 1) & 0x5555555555555555ull) | ((w & 0x5555555555555555ull) << 1);
+  return w;
 }
 
 }  // namespace
@@ -47,20 +59,46 @@ void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
                             DefectMap& out) const {
   // The paper's defect generation ("assigning an independent defect
   // probability/rate to each crosspoint that shows a uniform distribution"):
-  // one uniform draw per crosspoint, row by row, split into stuck-open /
-  // stuck-closed / functional by the rates.
+  // one uniform draw per crosspoint, row by row, stuck-open below the open
+  // rate, stuck-closed below the summed rates. Each draw is compared as an
+  // integer against both thresholds (exactly the two `uniform() <` tests;
+  // see UniformThreshold), the results of up to 64 consecutive crosspoints
+  // are gathered in register words, and each matrix takes one store per
+  // word.
   out.reshape(rows, cols);
-  BitMatrix& open = out.mutableOpenBits();
-  BitMatrix& closed = out.mutableClosedBits();
+  const UniformThreshold openCut(open_);
+  const UniformThreshold anyCut(open_ + closed_);
+  // Draw from a local copy of the generator: the word stores go through
+  // spans the compiler cannot prove disjoint from the caller's Rng, which
+  // would pin its state in memory. Written back below.
+  Rng local = rng;
+  using Word = BitMatrix::Word;
+  constexpr std::size_t kWordBits = BitMatrix::kWordBits;
+  // A rate-1 threshold passes by its flag, not its (wrapped) limit; it is
+  // ORed in once per word, so each draw costs one compare per threshold.
+  const Word openAll = openCut.always ? ~Word{0} : 0;
+  const Word anyAll = anyCut.always ? ~Word{0} : 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double u = rng.uniform();
-      if (u < open_)
-        open.set(r, c);
-      else if (u < open_ + closed_)
-        closed.set(r, c);
+    const std::span<Word> openRow = out.mutableOpenBits().rowWords(r);
+    const std::span<Word> closedRow = out.mutableClosedBits().rowWords(r);
+    for (std::size_t w = 0; w < openRow.size(); ++w) {
+      const std::size_t bits = std::min(kWordBits, cols - w * kWordBits);
+      // Each result enters at bit 0 and moves up one place per later draw
+      // (a doubling add, no variable shift), so the word holds the columns
+      // in reverse; reversing it at the store puts column w*64 + b at bit b.
+      Word openWord = 0, anyWord = 0;
+      for (std::size_t b = 0; b < bits; ++b) {
+        const std::uint64_t x = local();
+        openWord = 2 * openWord + (x < openCut.limit);
+        anyWord = 2 * anyWord + (x < anyCut.limit);
+      }
+      openWord = (reverseBits(openWord) | openAll) >> (kWordBits - bits);
+      anyWord = (reverseBits(anyWord) | anyAll) >> (kWordBits - bits);
+      openRow[w] = openWord;
+      closedRow[w] = anyWord & ~openWord;  // open_ <= open_ + closed_: open implies any
     }
   }
+  rng = local;
 }
 
 // ---------------------------------------------------- SparseIidBernoulli
@@ -96,7 +134,7 @@ void SparseIidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
               "SparseIidBernoulli: dimensions exceed the 32-bit sampler");
   const std::uint64_t count = rng.binomial(
       static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols), total);
-  const double closedShare = stuckClosedRate() / total;
+  const UniformThreshold closedShare(stuckClosedRate() / total);
   const bool allClosed = stuckOpenRate() <= 0.0;
   const bool mixed = stuckClosedRate() > 0.0 && !allClosed;
 
@@ -143,7 +181,7 @@ void SparseIidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
     const Word mask = Word{1} << (c % BitMatrix::kWordBits);
     if constexpr (decltype(mixedTag)::value) {
       if (((openBase[idx] | closedBase[idx]) & mask) != 0) return false;
-      (local.uniform() < closedShare ? closedBase : openBase)[idx] |= mask;
+      (closedShare.passes(local()) ? closedBase : openBase)[idx] |= mask;
     } else {
       if ((singleBase[idx] & mask) != 0) return false;
       singleBase[idx] |= mask;

@@ -52,7 +52,12 @@ public:
 /// The paper's model: every crosspoint fails independently at flat
 /// stuck-open / stuck-closed rates, one uniform draw per crosspoint in
 /// row-major order. The legacy anchor: this draw sequence is the one every
-/// committed legacy-rate bench count was measured on.
+/// committed legacy-rate bench count was measured on. The sweep compares
+/// each raw draw x against integer thresholds: `uniform() < p` holds
+/// exactly when (x >> 11) < ceil(p * 2^53) (UniformThreshold, util/rng.hpp),
+/// so it reproduces the per-bit double-compare loop bit for bit while
+/// gathering 64 crosspoints per register word and storing each matrix word
+/// once.
 class IidBernoulli : public DefectModel {
 public:
   explicit IidBernoulli(double stuckOpenRate, double stuckClosedRate = 0.0);

@@ -95,30 +95,32 @@ std::pair<double, double> iidRatesFromSpec(const SpecValue& spec, double openFal
   return {open, closed};
 }
 
-std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double rate) {
+namespace {
+
+std::shared_ptr<const DefectModel> readModel(const SpecValue& spec, double rate) {
   if (spec.kind == SpecValue::Kind::String) return makeScenario(spec.string, rate);
   if (!spec.isObject())
-    throw ParseError("scenario spec: expected a preset name or a JSON object");
+    throw ParseError("scenario: expected a preset name or a JSON object");
 
   if (const SpecValue* preset = spec.find("preset")) {
-    requireOnlyKeys(spec, "scenario spec", {"preset", "rate"});
+    requireOnlyKeys(spec, "scenario", {"preset", "rate"});
     if (preset->kind != SpecValue::Kind::String)
-      throw ParseError("scenario spec: \"preset\" must be a string");
+      throw ParseError("scenario: \"preset\" must be a string");
     const ScenarioPreset* found = findScenarioPreset(preset->string);
     if (found == nullptr)
-      throw ParseError("scenario spec: unknown preset \"" + preset->string + "\"");
+      throw ParseError("scenario: unknown preset \"" + preset->string + "\"");
     return buildPreset(*found, spec.numberOr("rate", 0.10, 0.0, 1.0));
   }
 
   const std::string model = spec.stringOr("model", "");
   if (model == "iid" || model == "iid-sparse") {
-    requireOnlyKeys(spec, "scenario spec", {"model", "open", "closed"});
+    requireOnlyKeys(spec, "scenario", {"model", "open", "closed"});
     const auto [open, closed] = iidRatesFromSpec(spec, 0.10);
     if (model == "iid") return std::make_shared<IidBernoulli>(open, closed);
     return std::make_shared<SparseIidBernoulli>(open, closed);
   }
   if (model == "clustered") {
-    requireOnlyKeys(spec, "scenario spec", {"model", "density", "spread", "closedShare"});
+    requireOnlyKeys(spec, "scenario", {"model", "density", "spread", "closedShare"});
     ClusteredDefects::Params p;
     p.clusterDensity = spec.numberOr("density", p.clusterDensity, 0.0, 1.0);
     p.spread = spec.numberOr("spread", p.spread);
@@ -128,7 +130,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double r
     return std::make_shared<ClusteredDefects>(p);
   }
   if (model == "lines") {
-    requireOnlyKeys(spec, "scenario spec",
+    requireOnlyKeys(spec, "scenario",
                     {"model", "rowClosed", "colClosed", "rowOpen", "colOpen"});
     LineCorrelated::Params p;
     p.rowStuckClosedRate = spec.numberOr("rowClosed", 0.0, 0.0, 1.0);
@@ -138,7 +140,7 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double r
     return std::make_shared<LineCorrelated>(p);
   }
   if (model == "gradient") {
-    requireOnlyKeys(spec, "scenario spec", {"model", "center", "edge", "closedShare"});
+    requireOnlyKeys(spec, "scenario", {"model", "center", "edge", "closedShare"});
     RadialGradient::Params p;
     p.centerRate = spec.numberOr("center", p.centerRate, 0.0, 1.0);
     p.edgeRate = spec.numberOr("edge", p.edgeRate, 0.0, 1.0);
@@ -146,17 +148,23 @@ std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double r
     return std::make_shared<RadialGradient>(p);
   }
   if (model == "composite") {
-    requireOnlyKeys(spec, "scenario spec", {"model", "label", "parts"});
+    requireOnlyKeys(spec, "scenario", {"model", "label", "parts"});
     const SpecValue* parts = spec.find("parts");
     if (parts == nullptr || !parts->isArray() || parts->array.empty())
-      throw ParseError("scenario spec: composite needs a non-empty \"parts\" array");
+      throw ParseError("scenario: composite needs a non-empty \"parts\" array");
     std::vector<std::shared_ptr<const DefectModel>> built;
     built.reserve(parts->array.size());
     for (const SpecValue& part : parts->array) built.push_back(modelFromSpec(part));
     return std::make_shared<CompositeModel>(spec.stringOr("label", "composite"),
                                             std::move(built));
   }
-  throw ParseError("scenario spec: unknown model \"" + model + "\"");
+  throw ParseError("scenario: unknown model \"" + model + "\"");
+}
+
+}  // namespace
+
+std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double rate) {
+  return readInContext("scenario", [&] { return readModel(spec, rate); });
 }
 
 std::shared_ptr<const DefectModel> makeScenario(const std::string& nameOrSpec, double rate) {

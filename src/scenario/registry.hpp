@@ -47,7 +47,8 @@ const ScenarioPreset* findScenarioPreset(const std::string& name);
 /// and an i.i.d. pair's open + closed <= 1. A string value resolves as
 /// makeScenario(string, @p rate); an object carries its own parameters
 /// (a preset reference's "rate" defaults to 0.10). Throws mcx::ParseError
-/// on malformed, unknown or out-of-range specs.
+/// on malformed, unknown or out-of-range specs; its message starts with
+/// "scenario: ".
 std::shared_ptr<const DefectModel> modelFromSpec(const SpecValue& spec, double rate = 0.10);
 
 /// The i.i.d. "open"/"closed" pair of @p spec (a model spec or a serve

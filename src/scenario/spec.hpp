@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace mcx {
 
 struct SpecValue {
@@ -77,8 +79,24 @@ std::string specText(double number);
 /// otherwise be silently dropped and the default would run under the wrong
 /// label (the same rationale as the typed accessors above). Throws
 /// ParseError("<context>: unknown member \"<key>\""), e.g. with context
-/// "mapper spec".
+/// "mapper".
 void requireOnlyKeys(const SpecValue& spec, const char* context,
                      std::initializer_list<const char*> allowed);
+
+/// Runs the declaration reader @p read and rethrows each ParseError it
+/// throws prefixed with "<context>: " (once: a nested reader of the same
+/// kind, such as a colperm mapper's "inner", has already named it). The
+/// shared member accessors name only the member, so this is what tells
+/// `mapper: member "seed" ...` from a request's own `member "seed" ...`.
+template <typename Read>
+auto readInContext(const std::string& context, Read&& read) -> decltype(read()) {
+  try {
+    return read();
+  } catch (const ParseError& e) {
+    const std::string prefix = context + ": ";
+    const std::string message = e.what();
+    throw ParseError(message.starts_with(prefix) ? message : prefix + message);
+  }
+}
 
 }  // namespace mcx

@@ -84,7 +84,8 @@ struct Request {
 /// JSON, unknown members, unresolvable registry names, or out-of-range
 /// values — never anything else, never with a source location in the
 /// message, and never crashes or hangs on adversarial input (fuzz-tested;
-/// the JSON parser depth-caps nesting).
+/// the JSON parser depth-caps nesting). An error inside the "circuit",
+/// "mapper" or "scenario" member is prefixed with that member's name.
 Request parseRequest(const std::string& line, const RequestLimits& limits);
 
 /// Best-effort id extraction from a line that failed parseRequest, so even

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -64,6 +65,34 @@ public:
 
 private:
   std::uint64_t s_[4];
+};
+
+/// `uniform() < p` decided on the raw 64-bit draw, with no conversion to
+/// double: the dense i.i.d. sweep's per-crosspoint test and the sparse
+/// sampler's type draw. Exact for every double p:
+///   - uniform() is k * 2^-53 with k = x >> 11 < 2^53, and that product is
+///     exact (k fits the 53-bit mantissa; scaling by a power of two never
+///     rounds), as is p * 2^53. So uniform() < p  <=>  k < p * 2^53, and
+///     for an integer k that is k < T with T = ceil(p * 2^53), an integer
+///     in [0, 2^53] for p in [0, 1].
+///   - k < T  <=>  x < T * 2^11: the 11 bits the shift drops cannot lift
+///     floor(x / 2^11) to T. The pre-shifted limit saves the shift.
+/// T * 2^11 overflows 64 bits only at T = 2^53, i.e. p = 1 (the double
+/// below 1, 1 - 2^-53, gives T = 2^53 - 1); that edge is the `always` flag,
+/// which every draw passes. p <= 0 (and NaN) gives T = 0, which none does.
+struct UniformThreshold {
+  std::uint64_t limit = 0;  ///< T * 2^11; 0 when `always`
+  bool always = false;      ///< p >= 1: T * 2^11 would wrap to 0
+
+  explicit UniformThreshold(double p) {
+    if (p >= 1.0)
+      always = true;
+    else if (p > 0.0)
+      limit = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53)) << 11;
+  }
+
+  /// Exactly `uniform() < p` for the draw @p x. Branch-free.
+  bool passes(std::uint64_t x) const { return (x < limit) | always; }
 };
 
 }  // namespace mcx

@@ -4,6 +4,7 @@
 
 #include <bit>
 
+#include "oracles/iid_reference.hpp"
 #include "util/error.hpp"
 
 namespace mcx {
@@ -15,32 +16,13 @@ bool sameMap(const DefectMap& a, const DefectMap& b) {
 
 // --- IidBernoulli: the regression anchor of the whole rewiring -----------
 
-/// The legacy i.i.d. stream, restated outside the library so the anchor
-/// does not check the library against itself: one uniform per crosspoint,
-/// row-major, stuck-open below the open rate, stuck-closed below the summed
-/// rates (the per-crosspoint loop every committed legacy count was drawn
-/// with).
-DefectMap referenceResample(std::size_t rows, std::size_t cols, double open, double closed,
-                            Rng& rng) {
-  DefectMap map(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double u = rng.uniform();
-      if (u < open)
-        map.setType(r, c, DefectType::StuckOpen);
-      else if (u < open + closed)
-        map.setType(r, c, DefectType::StuckClosed);
-    }
-  }
-  return map;
-}
-
 TEST(IidBernoulli, DrawForDrawIdenticalToLegacyResample) {
   const IidBernoulli model(0.12, 0.03);
   for (const std::uint64_t seed : {1ull, 42ull, 0xfeedull}) {
     Rng a(seed), b(seed);
     const DefectMap viaModel = model.sample(37, 53, a);
-    const DefectMap viaLegacy = referenceResample(37, 53, 0.12, 0.03, b);
+    DefectMap viaLegacy;
+    reference::iidSample(37, 53, 0.12, 0.03, b, viaLegacy);
     EXPECT_EQ(viaModel.openBits(), viaLegacy.openBits()) << "seed=" << seed;
     EXPECT_EQ(viaModel.closedBits(), viaLegacy.closedBits()) << "seed=" << seed;
     // Identical draw *counts* too: the streams must stay in lockstep.

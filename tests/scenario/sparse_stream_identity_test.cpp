@@ -1,65 +1,20 @@
 // Stream identity of the sparse i.i.d. sampler: the one-draw-per-site
 // placement loop must consume the generator exactly as the half-buffered
-// loop it replaced. The reference below is that loop, kept verbatim in
-// shape: every coordinate is an exact Lemire reduction of the next 32-bit
-// half of the raw stream, and a mixed-rate type uniform is a whole draw.
+// loop it replaced (reference::sparseIidSample, tests/oracles): every
+// coordinate is an exact Lemire reduction of the next 32-bit half of the
+// raw stream, and a mixed-rate type uniform is a whole draw.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
+#include "oracles/iid_reference.hpp"
 #include "scenario/defect_model.hpp"
 #include "util/rng.hpp"
 #include "xbar/defects.hpp"
 
 namespace mcx {
 namespace {
-
-/// Returns the number of Lemire rejections the sample took.
-std::size_t referenceSample(std::size_t rows, std::size_t cols, double open, double closed,
-                            Rng& rng, DefectMap& out) {
-  out.reshape(rows, cols);
-  const double total = open + closed;
-  const std::uint64_t count = rng.binomial(
-      static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols), total);
-  const bool mixed = closed > 0.0 && open > 0.0;
-  std::size_t rejections = 0;
-  std::uint64_t buffered = 0;
-  unsigned bufferedHalves = 0;
-  const auto next32 = [&]() -> std::uint32_t {
-    if (bufferedHalves == 0) {
-      buffered = rng();
-      bufferedHalves = 2;
-    }
-    const auto v = static_cast<std::uint32_t>(buffered);
-    buffered >>= 32;
-    --bufferedHalves;
-    return v;
-  };
-  const auto lemire32 = [&](std::uint64_t n) -> std::size_t {
-    const auto reject = static_cast<std::uint32_t>((std::uint64_t{1} << 32) % n);
-    for (;;) {
-      const std::uint64_t m = static_cast<std::uint64_t>(next32()) * n;
-      if (static_cast<std::uint32_t>(m) >= reject) return static_cast<std::size_t>(m >> 32);
-      ++rejections;
-    }
-  };
-  for (std::uint64_t d = 0; d < count; ++d) {
-    for (;;) {
-      const std::size_t r = lemire32(rows);
-      const std::size_t c = lemire32(cols);
-      if (out.type(r, c) != DefectType::None) continue;
-      DefectType t = DefectType::StuckOpen;
-      if (open <= 0.0)
-        t = DefectType::StuckClosed;
-      else if (mixed && rng.uniform() < closed / total)
-        t = DefectType::StuckClosed;
-      out.setType(r, c, t);
-      break;
-    }
-  }
-  return rejections;
-}
 
 /// Runs @p samples consecutive samples through the model and the reference
 /// on twin streams; returns the reference's total rejections.
@@ -74,7 +29,7 @@ std::size_t expectStreamIdentical(std::size_t rows, std::size_t cols, double ope
                  std::to_string(open) + " closed=" + std::to_string(closed) +
                  " sample " + std::to_string(s));
     model.generate(rows, cols, rng, got);
-    rejections += referenceSample(rows, cols, open, closed, ref, want);
+    rejections += reference::sparseIidSample(rows, cols, open, closed, ref, want);
     EXPECT_EQ(got.openBits(), want.openBits());
     EXPECT_EQ(got.closedBits(), want.closedBits());
     Rng probeGot = rng, probeWant = ref;

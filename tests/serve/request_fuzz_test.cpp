@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/registry.hpp"
@@ -117,20 +118,37 @@ TEST(RequestFuzzTest, MalformedShapesTable) {
       "{\"circuit\": \"rd53\\",                 // dangling escape
       std::string("{\"circuit\": \"rd53\x01\"}"),  // control char in string
   };
-  for (const std::string& line : lines) {
+  // A member error names the object it sits in: the same bad "seed" inside
+  // the mapper and at the top level reads differently.
+  const std::vector<std::pair<std::string, std::string>> named = {
+      {R"({"circuit": "rd53-min", "mapper": {"mapper": "colperm", "seed": 1.5}})",
+       R"(mapper: member "seed" must be an integer in [0, 9007199254740992])"},
+      {R"({"circuit": "rd53-min", "seed": 1.5})",
+       R"(member "seed" must be an integer in [0, 18446744073709551615])"},
+      {R"({"circuit": "rd53-min", "scenario": {"model": "clustered", "density": 2}})",
+       R"(scenario: member "density" must be a number in [0, 1])"},
+      {R"({"circuit": {"circuit": "bw", "maxFanin": 2.5}})",
+       R"(circuit: member "maxFanin" must be an integer in [0, 1000000])"},
+  };
+  const auto parseMessage = [](const std::string& line) -> std::string {
     try {
       parseRequest(line, RequestLimits{});
-      FAIL() << "accepted malformed line: " << line;
+      ADD_FAILURE() << "accepted malformed line: " << line;
     } catch (const ServeError& e) {
       EXPECT_EQ(e.code(), ErrorCode::Parse) << line;
-      // A client's error names its declaration, never a source location.
-      const std::string what = e.what();
-      EXPECT_EQ(what.find("requirement failed"), std::string::npos) << line << ": " << what;
-      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << line << ": " << what;
+      return e.what();
     } catch (const std::exception& e) {
-      FAIL() << "wrong exception type for line: " << line << "\n  what(): " << e.what();
+      ADD_FAILURE() << "wrong exception type for line: " << line << "\n  what(): " << e.what();
     }
+    return "";
+  };
+  for (const std::string& line : lines) {
+    // A client's error names its declaration, never a source location.
+    const std::string what = parseMessage(line);
+    EXPECT_EQ(what.find("requirement failed"), std::string::npos) << line << ": " << what;
+    EXPECT_EQ(what.find(".cpp:"), std::string::npos) << line << ": " << what;
   }
+  for (const auto& [line, expected] : named) EXPECT_EQ(parseMessage(line), expected) << line;
 }
 
 TEST(RequestFuzzTest, OversizedLineIsRejectedBeforeParsing) {
