@@ -5,7 +5,8 @@
 // three layers of the Monte Carlo hot path (legacy vs sparse sampling, the
 // candidate adjacency, Hopcroft-Karp) on the bw
 // multi-level workload at the paper's 10% stuck-open rate (the legacy
-// sweep also on sao2's two-level shape at 15%), the approx
+// sweep also on sao2's two-level shape at 15%; the adjacency and
+// Hopcroft-Karp also on alu4 at 15%), the approx
 // mapper's rescue of inner-mapper failures, plus the memoized synthesis
 // front-end (full pipeline compile vs cache hit), and the telemetry layer's
 // own overhead (counter adds, histogram records, disarmed vs histogram-fed
@@ -150,40 +151,55 @@ void BM_SamplerLegacy(benchmark::State& state, const FunctionMatrix& (*circuit)(
 BENCHMARK_CAPTURE(BM_SamplerLegacy, bw, &bwFunctionMatrix, 0.10);
 BENCHMARK_CAPTURE(BM_SamplerLegacy, sao2, &sao2FunctionMatrix, 0.15);
 
-// A deck of 64 consecutive bw samples (seed 6) shared by the sampler,
-// adjacency and matching rows. Each iteration takes the next card, so a row
-// reads the mean per-sample cost: a single sample misleads, e.g. seed 6's
-// first one has a perfect greedy seed and skips HK's phases entirely.
-struct BwDeck {
+const FunctionMatrix& alu4FunctionMatrix() {
+  static const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
+  return alu4->fm;
+}
+
+// A deck of 64 consecutive samples of one circuit (seed 6) shared by the
+// sampler, adjacency and matching rows. Each iteration takes the next card,
+// so a row reads the mean per-sample cost: a single sample misleads, e.g.
+// bw's first one has a perfect greedy seed and skips HK's phases entirely.
+struct Deck {
   static constexpr std::size_t kSize = 64;
+  const FunctionMatrix* fm = nullptr;
   std::vector<Rng> streams;  ///< generator state before each sample
   std::vector<BitMatrix> cm, adjacency;
 };
 
-const BwDeck& bwDeck() {
-  static const BwDeck deck = [] {
-    const FunctionMatrix& fm = bwFunctionMatrix();
-    const SparseIidBernoulli model(0.10, 0.0);
-    BwDeck d;
-    Rng rng(6);
-    for (std::size_t i = 0; i < BwDeck::kSize; ++i) {
-      d.streams.push_back(rng);
-      d.cm.push_back(crossbarMatrix(model.sample(fm.rows(), fm.cols(), rng)));
-      d.adjacency.push_back(buildCandidateAdjacency(fm.bits(), d.cm.back()));
-    }
-    return d;
-  }();
+Deck drawDeck(const FunctionMatrix& fm, const DefectModel& model) {
+  Deck d;
+  d.fm = &fm;
+  Rng rng(6);
+  for (std::size_t i = 0; i < Deck::kSize; ++i) {
+    d.streams.push_back(rng);
+    d.cm.push_back(crossbarMatrix(model.sample(fm.rows(), fm.cols(), rng)));
+    d.adjacency.push_back(buildCandidateAdjacency(fm.bits(), d.cm.back()));
+  }
+  return d;
+}
+
+// bw multi-level at 10% stuck-open on the sparse sampler.
+const Deck& bwDeck() {
+  static const Deck deck = drawDeck(bwFunctionMatrix(), SparseIidBernoulli(0.10, 0.0));
+  return deck;
+}
+
+// alu4 two-level at 15% paper-iid, the mc-twolevel-mixed workload's alu4
+// cell: a 583x44 FM, so 10-word adjacency rows.
+const Deck& alu4Deck() {
+  static const Deck deck = drawDeck(alu4FunctionMatrix(), *makeScenario("paper-iid", 0.15));
   return deck;
 }
 
 void BM_SamplerSparse(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
-  const BwDeck& deck = bwDeck();
+  const Deck& deck = bwDeck();
   const SparseIidBernoulli model(0.10, 0.0);
   DefectMap map;
   std::size_t i = 0;
   for (auto _ : state) {
-    Rng rng = deck.streams[i++ % BwDeck::kSize];
+    Rng rng = deck.streams[i++ % Deck::kSize];
     model.generate(fm.rows(), fm.cols(), rng, map);
     benchmark::DoNotOptimize(map);
   }
@@ -193,11 +209,11 @@ BENCHMARK(BM_SamplerSparse);
 // The adjacency kernel's first half alone: the next card's CM transposed
 // into one reused buffer.
 void BM_Transpose(benchmark::State& state) {
-  const BwDeck& deck = bwDeck();
+  const Deck& deck = bwDeck();
   BitMatrix cmT;
   std::size_t i = 0;
   for (auto _ : state) {
-    cmT.assignTransposed(deck.cm[i++ % BwDeck::kSize]);
+    cmT.assignTransposed(deck.cm[i++ % Deck::kSize]);
     benchmark::DoNotOptimize(cmT);
   }
 }
@@ -205,29 +221,29 @@ BENCHMARK(BM_Transpose);
 
 // The engine's path: one reused context per worker, the next card's CM each
 // iteration.
-void BM_Adjacency(benchmark::State& state) {
-  const FunctionMatrix& fm = bwFunctionMatrix();
-  const BwDeck& deck = bwDeck();
+void BM_Adjacency(benchmark::State& state, const Deck& (*drawn)()) {
+  const Deck& deck = drawn();
   MappingContext ctx;
   std::size_t i = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(ctx.candidateAdjacency(fm.bits(), deck.cm[i++ % BwDeck::kSize]));
+    benchmark::DoNotOptimize(ctx.candidateAdjacency(deck.fm->bits(), deck.cm[i++ % Deck::kSize]));
 }
-BENCHMARK(BM_Adjacency);
+BENCHMARK_CAPTURE(BM_Adjacency, bw, &bwDeck);
+BENCHMARK_CAPTURE(BM_Adjacency, alu4, &alu4Deck);
 
-void BM_HopcroftKarp(benchmark::State& state) {
-  const BwDeck& deck = bwDeck();
+void BM_HopcroftKarp(benchmark::State& state, const Deck& (*drawn)()) {
+  const Deck& deck = drawn();
   std::size_t i = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(hopcroftKarp(deck.adjacency[i++ % BwDeck::kSize]));
+  for (auto _ : state) benchmark::DoNotOptimize(hopcroftKarp(deck.adjacency[i++ % Deck::kSize]));
 }
-BENCHMARK(BM_HopcroftKarp);
+BENCHMARK_CAPTURE(BM_HopcroftKarp, bw, &bwDeck);
+BENCHMARK_CAPTURE(BM_HopcroftKarp, alu4, &alu4Deck);
 
 // End-to-end mapping (adjacency build included) on one reused context, as
 // an engine worker runs it: one fixed alu4 sample (legacy sampler, 10%
 // stuck-open), and the bw deck's next card each iteration.
 void mapAlu4Sample(benchmark::State& state, const IMapper& mapper) {
-  const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
-  const FunctionMatrix& fm = alu4->fm;
+  const FunctionMatrix& fm = alu4FunctionMatrix();
   Rng rng(5);
   const DefectMap defects = IidBernoulli(0.1).sample(fm.rows(), fm.cols(), rng);
   const BitMatrix cm = crossbarMatrix(defects);
@@ -236,12 +252,11 @@ void mapAlu4Sample(benchmark::State& state, const IMapper& mapper) {
 }
 
 void mapBwDeck(benchmark::State& state, const IMapper& mapper) {
-  const FunctionMatrix& fm = bwFunctionMatrix();
-  const BwDeck& deck = bwDeck();
+  const Deck& deck = bwDeck();
   MappingContext ctx;
   std::size_t i = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(mapper.map(fm, deck.cm[i++ % BwDeck::kSize], ctx));
+    benchmark::DoNotOptimize(mapper.map(*deck.fm, deck.cm[i++ % Deck::kSize], ctx));
 }
 
 void BM_MapHba(benchmark::State& state) { mapAlu4Sample(state, HybridMapper()); }

@@ -35,6 +35,11 @@ struct MatchingResult {
 /// accepts any FM row) and the BFS/DFS phases merely repair around the
 /// defective rows. Hopcroft-Karp is maximum from any initial matching, so
 /// the seed changes which maximum matching is returned, never its size.
+///
+/// Three shortcuts leave the returned matching unchanged: each greedy scan
+/// starts at the first word that still has a free right, a BFS phase ends
+/// once every right has been seen, and the working buffers are per thread,
+/// reused across calls, so a call allocates only the returned matching.
 MatchingResult hopcroftKarp(const BitMatrix& adjacency);
 
 }  // namespace mcx

@@ -15,9 +15,10 @@ constexpr std::size_t kNone = MappingResult::kUnassigned;
 using Word = BitMatrix::Word;
 constexpr std::size_t kWordBits = BitMatrix::kWordBits;
 
-/// Lowest set bit of (candidate row words & mask words), or kNone.
-std::size_t firstBit(std::span<const Word> row, const std::vector<Word>& mask) {
-  for (std::size_t w = 0; w < row.size(); ++w) {
+/// Lowest set bit of (candidate row words & mask words), or kNone, given
+/// that mask words before @p from are zero.
+std::size_t firstBit(std::span<const Word> row, const std::vector<Word>& mask, std::size_t from) {
+  for (std::size_t w = from; w < row.size(); ++w) {
     const Word bits = row[w] & mask[w];
     if (bits != 0) return w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
   }
@@ -44,8 +45,13 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency, bool b
   std::vector<Word>& free = s.free;
   free.assign(maskWords, ~Word{0});
   if (N % kWordBits != 0) free[maskWords - 1] = BitMatrix::tailMask(N);
+  // Phase 1 never frees a CM row (a relocation moves j onto a free row and
+  // hands its old row straight to i), so the first mask word with a free
+  // row only moves right.
+  std::size_t firstFree = 0;
   const auto take = [&](std::size_t t, std::size_t owner) {
     free[t / kWordBits] &= ~(Word{1} << (t % kWordBits));
+    while (firstFree < maskWords && free[firstFree] == 0) ++firstFree;
     cmOwner[t] = owner;
     fmToCm[owner] = t;
   };
@@ -53,7 +59,7 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency, bool b
   // Phase 1: greedy matching of minterm rows with one-level backtracking.
   for (const std::size_t i : s.order) {
     const auto row = adjacency.rowWords(i);
-    std::size_t t = firstBit(row, free);
+    std::size_t t = firstBit(row, free, firstFree);
     if (t != kNone) {
       take(t, i);
       continue;
@@ -68,7 +74,7 @@ bool attemptMapping(const FunctionMatrix& fm, const BitMatrix& adjacency, bool b
           occupied &= occupied - 1;
           ++result.backtracks;
           const std::size_t j = cmOwner[t];
-          const std::size_t u = firstBit(adjacency.rowWords(j), free);
+          const std::size_t u = firstBit(adjacency.rowWords(j), free, firstFree);
           if (u != kNone) {
             // Relocate j to u, place i on t.
             take(u, j);

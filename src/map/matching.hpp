@@ -7,7 +7,7 @@
 // with both functional and stuck-open crosspoints. The rule depends on the
 // CM alone, which already carries every defect's effect, so one kernel
 // (buildCandidateAdjacency) builds every candidate adjacency from it;
-// rowMatches stays for per-pair checks (verification, first-fit).
+// rowMatches stays for per-pair checks (first-fit, test references).
 #pragma once
 
 #include <cstddef>
@@ -36,10 +36,10 @@ bool rowMatches(const BitMatrix& fm, std::size_t fmRow, const BitMatrix& cm, std
 /// i.e. the AND of those columns' transposed rows (all ones for an empty FM
 /// row). That is the subset rule written column by column, at
 /// O(fmOnes x cmRows/64) word ops after the 64x64 block transpose. Each
-/// adjacency row accumulates in registers, in blocks of a compile-time
-/// width of up to 8 words (512 CM rows), and is stored once. The
-/// stuck-closed poisoning of Section IV-A needs no special case: the CM
-/// already carries it (crossbarMatrixInto).
+/// adjacency row accumulates in vector registers, in one pass per block of
+/// a compile-time width of up to 16 words (1024 CM rows), and is stored
+/// once. The stuck-closed poisoning of Section IV-A needs no special case:
+/// the CM already carries it (crossbarMatrixInto).
 BitMatrix buildCandidateAdjacency(const BitMatrix& fm, const BitMatrix& cm);
 
 /// Per-worker scratch for the Monte Carlo mapping hot path: the reused
@@ -93,9 +93,12 @@ struct FeasibleAssignment {
 };
 
 /// Decide the pure feasibility case via Hopcroft-Karp on the candidate
-/// adjacency — O(E sqrt(V)) instead of Munkres' O(n^3). An FM row with zero
-/// candidates fails before any solving. Munkres remains the solver for
-/// genuinely weighted cost matrices.
+/// adjacency — O(E sqrt(V)) instead of Munkres' O(n^3). Two size-1 Hall
+/// certificates fail before any solving, in one sweep over the rows: an FM
+/// row with zero candidates, and candidates that together cover fewer CM
+/// rows than there are FM rows (dead CM rows beyond the spares). Either
+/// way Hopcroft-Karp would find no perfect matching, so the verdict is its
+/// own. Munkres remains the solver for genuinely weighted cost matrices.
 FeasibleAssignment solveFeasibleAssignment(const BitMatrix& adjacency);
 
 struct MappingResult {

@@ -142,5 +142,60 @@ TEST(HopcroftKarpIdentity, MatchesTextbookOnBwMultiLevelSamples) {
   }
 }
 
+BitMatrix randomAdjacency(std::size_t rows, std::size_t cols, double density, Rng& rng) {
+  BitMatrix adj(rows, cols);
+  for (std::size_t l = 0; l < rows; ++l)
+    for (std::size_t r = 0; r < cols; ++r)
+      if (rng.bernoulli(density)) adj.set(l, r);
+  return adj;
+}
+
+TEST(HopcroftKarpIdentity, MatchesTextbookOnAlu4ScaleShapes) {
+  // alu4's 583 FM rows on a balanced crossbar and on 17 spare rows, at the
+  // adjacency density of alu4 at 15% stuck-open.
+  Rng rng(0xa1a4);
+  for (const std::size_t cols : {583, 600}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      expectSameMatching(randomAdjacency(583, cols, 0.27, rng),
+                         "583x" + std::to_string(cols) + " trial " + std::to_string(trial));
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(HopcroftKarpIdentity, MatchesTextbookOnAlu4Samples) {
+  // Adjacencies drawn the engine's way for the mc-twolevel-mixed alu4 cells:
+  // paper-iid at 15%, the crossbar matrix, the candidate-adjacency kernel.
+  const std::shared_ptr<const Circuit> alu4 = compileCircuit("alu4");
+  const FunctionMatrix& fm = alu4->fm;
+  const auto model = makeScenario("paper-iid", 0.15);
+  Rng rng(0xa4);
+  DefectMap defects;
+  for (int s = 0; s < 24; ++s) {
+    model->generate(fm.rows(), fm.cols(), rng, defects);
+    expectSameMatching(buildCandidateAdjacency(fm.bits(), crossbarMatrix(defects)),
+                       "alu4 sample " + std::to_string(s));
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+TEST(HopcroftKarpIdentity, ReusedThreadBuffersCarryNothingBetweenCalls) {
+  // One thread runs a large, a small and again a large adjacency: stale
+  // per-thread buffers (a longer match table, leftover seen or taken
+  // rights, queued rows) would change the second large matching.
+  Rng rng(0x5eed);
+  const BitMatrix large = randomAdjacency(583, 600, 0.27, rng);
+  const BitMatrix sparse = randomAdjacency(583, 583, 0.004, rng);
+  const BitMatrix small = randomAdjacency(5, 7, 0.5, rng);
+  const BitMatrix empty(3, 0);
+  expectSameMatching(large, "large");
+  expectSameMatching(small, "small after large");
+  expectSameMatching(empty, "no columns after small");
+  expectSameMatching(large, "large after small");
+  expectSameMatching(sparse, "sparse after large");
+  expectSameMatching(small, "small after sparse");
+  expectSameMatching(sparse, "sparse after small");
+}
+
 }  // namespace
 }  // namespace mcx

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "assign/hopcroft_karp.hpp"
 #include "logic/sop_parser.hpp"
 #include "scenario/defect_model.hpp"
 #include "util/rng.hpp"
@@ -88,6 +89,31 @@ TEST(VerifyMapping, HonorsInputPermutation) {
   EXPECT_FALSE(verifyMapping(fm, cm, shared));
 }
 
+TEST(VerifyMapping, RejectsAClearedRequiredBitInAnAssignedRow) {
+  // A two-word FM (x40 sits past column 64): clearing any one required bit
+  // of an assigned CM row rejects the claim, clearing a bit no assigned FM
+  // row requires does not.
+  const Cover cover = parseSop("x1 x40 + x2", 40);
+  const FunctionMatrix fm = buildFunctionMatrix(cover);
+  ASSERT_GT(fm.cols(), BitMatrix::kWordBits);
+  const BitMatrix clean(fm.rows() + 1, fm.cols(), true);
+  MappingResult claim;
+  claim.success = true;
+  claim.rowAssignment = {2, 0, 1};
+  ASSERT_TRUE(verifyMapping(fm, clean, claim));
+  for (std::size_t r = 0; r < fm.rows(); ++r) {
+    for (std::size_t c = 0; c < fm.cols(); ++c) {
+      BitMatrix cm = clean;
+      cm.reset(claim.rowAssignment[r], c);
+      EXPECT_EQ(verifyMapping(fm, cm, claim), !fm.bits().test(r, c))
+          << "FM row " << r << ", column " << c;
+    }
+  }
+  BitMatrix spareDefect = clean;
+  spareDefect.setRow(fm.rows(), false);  // the unassigned CM row
+  EXPECT_TRUE(verifyMapping(fm, spareDefect, claim));
+}
+
 TEST(CandidateAdjacency, AgreesWithRowMatches) {
   Rng rng(21);
   for (int rep = 0; rep < 20; ++rep) {
@@ -156,6 +182,77 @@ TEST(FeasibleAssignment, MoreRowsThanColumnsIsInfeasible) {
   EXPECT_FALSE(solveFeasibleAssignment(adjacency).success);
 }
 
+TEST(FeasibleAssignment, DeadCmRowsBeyondSparesFailBeforeSolving) {
+  // n FM rows on n + spares CM rows, k of them dead (all-zero columns): the
+  // live CM rows cover every FM row's candidates, so k <= spares leaves the
+  // verdict to Hopcroft-Karp and k > spares is Hall's size-1 failure.
+  for (std::size_t n = 1; n <= 70; n += 23) {
+    for (std::size_t spares = 0; spares <= 3; ++spares) {
+      for (std::size_t k = 0; k <= spares + 2 && k <= n + spares; ++k) {
+        BitMatrix adjacency(n, n + spares, true);
+        for (std::size_t c = 0; c < k; ++c) adjacency.setCol((c * 7) % (n + spares), false);
+        const FeasibleAssignment verdict = solveFeasibleAssignment(adjacency);
+        EXPECT_EQ(verdict.success, k <= spares) << "n=" << n << " spares=" << spares << " k=" << k;
+        EXPECT_EQ(verdict.success, hopcroftKarp(adjacency).perfectForLeft(n));
+      }
+    }
+  }
+  // Enough live CM rows but no perfect matching: the verdict is
+  // Hopcroft-Karp's (two rows share one candidate).
+  BitMatrix crowded(3, 3, false);
+  crowded.set(0, 0);
+  crowded.set(1, 0);
+  crowded.set(2, 0);
+  crowded.set(2, 1);
+  crowded.set(2, 2);
+  EXPECT_FALSE(solveFeasibleAssignment(crowded).success);
+}
+
+TEST(FeasibleAssignment, HallExitAgreesWithHopcroftKarp) {
+  // Random rectangles with 0-3 spare columns and some dead columns. Where
+  // the candidates cover at least as many columns as there are rows the
+  // verdict and assignment are plain hopcroftKarp's; where they do not,
+  // Hopcroft-Karp finds no perfect matching either.
+  Rng rng(0x4a11);
+  std::size_t fired = 0, solvedFailures = 0, successes = 0;
+  for (int rep = 0; rep < 12000; ++rep) {
+    const std::size_t n = 1 + rng.uniformInt(0, rep % 8 == 0 ? 139 : 19);
+    const std::size_t m = n + rng.uniformInt(0, 3);
+    const double density = 0.02 + 0.6 * rng.uniform();
+    BitMatrix adjacency(n, m);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < m; ++j)
+        if (rng.bernoulli(density)) adjacency.set(i, j);
+    for (std::size_t dead = rng.uniformInt(0, 4); dead > 0; --dead)
+      adjacency.setCol(rng.uniformInt(0, m - 1), false);
+
+    std::size_t covered = 0;
+    for (std::size_t j = 0; j < m; ++j) covered += adjacency.colCount(j) > 0 ? 1 : 0;
+    const FeasibleAssignment verdict = solveFeasibleAssignment(adjacency);
+    const MatchingResult hk = hopcroftKarp(adjacency);
+    const std::string where = "rep=" + std::to_string(rep) + " " + std::to_string(n) + "x" +
+                              std::to_string(m) + " covered=" + std::to_string(covered);
+    if (covered < n) {
+      ++fired;
+      ASSERT_FALSE(verdict.success) << where;
+      ASSERT_TRUE(verdict.assignment.empty()) << where;
+      ASSERT_LT(hk.size, n) << where;
+      continue;
+    }
+    ASSERT_EQ(verdict.success, hk.perfectForLeft(n)) << where;
+    if (verdict.success) {
+      ++successes;
+      ASSERT_EQ(verdict.assignment, hk.matchOfLeft) << where;
+    } else {
+      ++solvedFailures;
+      ASSERT_TRUE(verdict.assignment.empty()) << where;
+    }
+  }
+  EXPECT_GT(fired, 1000u);
+  EXPECT_GT(solvedFailures, 300u);
+  EXPECT_GT(successes, 1000u);
+}
+
 // --- The one candidate-adjacency kernel -------------------------------------
 
 /// Per-pair reference: bit (i, j) set iff rowMatches(fm, i, cm, j).
@@ -178,17 +275,17 @@ TEST(CandidateAdjacency, MatchesRowMatchesOnEngineSamples) {
   MappingContext ctx;
   BitMatrix fm, cm;
   DefectMap defects;
-  // CM rows span 1 to 10 adjacency words, so every compile-time block
-  // width (1 to 8 words) and the two-block split past 512 rows occur; every
-  // fourth case takes a word-boundary size.
-  const std::size_t edgeRows[] = {64, 128, 192, 512, 513, 583};
+  // CM rows span 1 to 18 adjacency words, so every compile-time block
+  // width (1 to 16 words) and the two-block split past 1024 rows occur;
+  // every fourth case takes a word-boundary or workload size.
+  const std::size_t edgeRows[] = {64, 128, 192, 512, 513, 583, 1024, 1025, 1088};
   std::size_t poisoned = 0;
-  std::vector<std::size_t> wordsSeen(11, 0);
+  std::vector<std::size_t> wordsSeen(19, 0);
   for (int rep = 0; rep < 240; ++rep) {
     const std::size_t fmRows = 1 + rng.uniformInt(0, 150);
     const std::size_t cols = rep % 40 == 0 ? 0 : 1 + rng.uniformInt(0, 138);
     const std::size_t cmRows =
-        rep % 4 == 0 ? edgeRows[rep / 4 % 6] : 1 + rng.uniformInt(0, 639);
+        rep % 4 == 0 ? edgeRows[rep / 4 % 9] : 1 + rng.uniformInt(0, 1151);
     fm.reshape(fmRows, cols);
     const double density = 0.02 + 0.2 * rng.uniform();
     for (std::size_t r = 0; r < fmRows; r += 1 + r % 3)  // skipped rows stay empty
@@ -226,7 +323,7 @@ TEST(CandidateAdjacency, MatchesRowMatchesOnEngineSamples) {
         << where << ", next sample of the same shape";
   }
   EXPECT_GT(poisoned, 0u);
-  for (std::size_t words = 1; words <= 10; ++words)
+  for (std::size_t words = 1; words <= 18; ++words)
     EXPECT_GT(wordsSeen[words], 0u) << words << "-word adjacency rows";
 }
 
