@@ -192,6 +192,37 @@ const Deck& alu4Deck() {
   return deck;
 }
 
+// sao2 two-level at 15% on the legacy sampler, the mc-twolevel-mixed
+// workload's legacy cell.
+const Deck& sao2Deck() {
+  static const Deck deck = drawDeck(sao2FunctionMatrix(), IidBernoulli(0.15, 0.0));
+  return deck;
+}
+
+// The legacy dense sweep through generateBlock at the model's block width,
+// starting each block's samples at the next cards' streams. A row reads the
+// per-sample cost in its `sample` counter (the time column is per block).
+void BM_SamplerLegacyBlock(benchmark::State& state, const Deck& (*drawn)(), double open) {
+  const Deck& deck = drawn();
+  const IidBernoulli model(open, 0.0);
+  const std::size_t width = model.blockWidth();
+  std::vector<Rng> rngs(width);
+  std::vector<DefectMap> maps(width);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    for (std::size_t j = 0; j < width; ++j) rngs[j] = deck.streams[(i + j) % Deck::kSize];
+    model.generateBlock(deck.fm->rows(), deck.fm->cols(), rngs.data(), maps.data(), width);
+    benchmark::DoNotOptimize(maps.data());
+    benchmark::ClobberMemory();
+    i = (i + width) % Deck::kSize;
+  }
+  state.counters["sample"] = benchmark::Counter(
+      static_cast<double>(width),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_SamplerLegacyBlock, bw, &bwDeck, 0.10);
+BENCHMARK_CAPTURE(BM_SamplerLegacyBlock, sao2, &sao2Deck, 0.15);
+
 void BM_SamplerSparse(benchmark::State& state) {
   const FunctionMatrix& fm = bwFunctionMatrix();
   const Deck& deck = bwDeck();

@@ -139,8 +139,9 @@ public:
   /// spent — the deadline clock starts when run() is called. Arms the
   /// declared cancelToken, or a private one when none was declared.
   ExperimentBuilder& deadline(double millis);
-  /// Cooperative cancellation: workers poll @p token between samples, so an
-  /// external cancel() aborts the experiment with partial results.
+  /// Cooperative cancellation: workers poll @p token before each block of
+  /// samples, so an external cancel() aborts the experiment with partial
+  /// results.
   ExperimentBuilder& cancelToken(std::shared_ptr<CancelToken> token);
   /// Run on a caller-owned persistent ExecutorPool (the experiment service
   /// shares one across requests) instead of a transient per-run pool.

@@ -3,10 +3,10 @@
 // A CancelToken is an atomic stop flag plus an optional monotonic deadline,
 // shared between the party that wants work stopped (a service handling
 // SIGTERM, an admission controller shedding load, a client disconnect) and
-// the workers doing it. Workers poll stopRequested() between samples and
-// abort with partial, well-labeled results — cancellation is cooperative,
-// never preemptive, so shared state (caches, scratch arenas, counters) is
-// always left consistent.
+// the workers doing it. Workers poll stopRequested() between samples (the
+// Monte Carlo engine before each block of samples) and abort with partial,
+// well-labeled results — cancellation is cooperative, never preemptive, so
+// shared state (caches, scratch arenas, counters) is always left consistent.
 //
 // Thread-safe: any thread may cancel() / setDeadline*, any number of
 // threads may poll. Polling is two relaxed atomic loads plus (when a

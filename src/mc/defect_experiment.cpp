@@ -1,5 +1,6 @@
 #include "mc/defect_experiment.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "mc/executor.hpp"
@@ -47,60 +48,80 @@ DefectExperimentResult runDefectExperiment(const FunctionMatrix& fm, const IMapp
   std::vector<PerSample> outcomes(config.samples);
   if (config.keepMappings) result.mappings.resize(config.samples);
 
-  // Per-worker scratch arenas: the DefectMap, crossbar BitMatrix, and
-  // mapping-context buffers (the candidate-adjacency kernel's transpose and
-  // adjacency) are reused across every sample a worker processes. Buffer
-  // reuse changes no bit of any result, so results stay independent of the
-  // thread count.
+  // Samples are drawn in blocks of up to w: the model draws a block side by
+  // side (DefectModel::blockWidth), and w never leaves a pool slot without
+  // a block. Blocks are the pool's work items; everything after the draw
+  // stays per sample.
+  const std::size_t slots = pool->slots();
+  const std::size_t width = std::max<std::size_t>(
+      1, std::min(model.blockWidth(), (config.samples + slots - 1) / slots));
+  const std::size_t blocks = (config.samples + width - 1) / width;
+
+  // Per-worker scratch arenas: the block's DefectMaps and streams, the
+  // crossbar BitMatrix, and mapping-context buffers (the candidate-adjacency
+  // kernel's transpose and adjacency) are reused across every block a
+  // worker processes. Buffer reuse changes no bit of any result, so results
+  // stay independent of the thread count.
   struct Scratch {
-    DefectMap defects;
+    std::vector<DefectMap> defects;
+    std::vector<Rng> rngs;
     BitMatrix cm;
     MappingContext ctx;
   };
-  std::vector<Scratch> scratch(pool->slots());
-  for (Scratch& sc : scratch) sc.ctx.setSpares(config.spares);
+  std::vector<Scratch> scratch(slots);
+  for (Scratch& sc : scratch) {
+    sc.defects.resize(width);
+    sc.ctx.setSpares(config.spares);
+  }
 
   Stopwatch wall;
   obs::Span mcSpan("mc_experiment");
-  pool->run(config.samples, [&](std::size_t worker, std::size_t s) {
-    // Cooperative abort: a fired token skips the sample entirely (its
-    // outcome stays !done); samples already past this check finish
-    // normally, so scratch arenas and results are never left mid-sample.
+  pool->run(blocks, [&](std::size_t worker, std::size_t block) {
+    // Cooperative abort, once per block before its draw: a fired token
+    // skips the block entirely (its outcomes stay !done); blocks already
+    // drawn finish every sample, so scratch arenas and results are never
+    // left mid-sample.
     if (token != nullptr && token->stopRequested()) return;
-    faultinject::onSite("mc.sample");
 
     Scratch& sc = scratch[worker];
-    Rng sampleRng = streams[s];
-    model.generate(dims.rows, dims.cols, sampleRng, sc.defects);
-    crossbarMatrixInto(sc.defects, sc.cm);
+    const std::size_t first = block * width;
+    const std::size_t k = std::min(width, config.samples - first);
+    sc.rngs.assign(streams.begin() + static_cast<std::ptrdiff_t>(first),
+                   streams.begin() + static_cast<std::ptrdiff_t>(first + k));
+    model.generateBlock(dims.rows, dims.cols, sc.rngs.data(), sc.defects.data(), k);
 
-    double sec = 0;
-    MappingResult mapping;
-    if (config.timePerSample) {
-      Stopwatch watch;
-      mapping = mapper.map(fm, sc.cm, sc.ctx);
-      sec = watch.seconds();
-    } else {
-      mapping = mapper.map(fm, sc.cm, sc.ctx);
+    for (std::size_t i = 0; i < k; ++i) {
+      faultinject::onSite("mc.sample");
+      crossbarMatrixInto(sc.defects[i], sc.cm);
+
+      double sec = 0;
+      MappingResult mapping;
+      if (config.timePerSample) {
+        Stopwatch watch;
+        mapping = mapper.map(fm, sc.cm, sc.ctx);
+        sec = watch.seconds();
+      } else {
+        mapping = mapper.map(fm, sc.cm, sc.ctx);
+      }
+
+      if (mapping.success)
+        MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping, config.spares),
+                    "runDefectExperiment: mapper returned an invalid mapping");
+      // Graded partial mappings carry a physical claim too (the retained
+      // rows really fit their CM rows).
+      if (!mapping.success && !mapping.droppedRows.empty())
+        MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping, config.spares),
+                    "runDefectExperiment: mapper returned an invalid partial mapping");
+
+      PerSample& out = outcomes[first + i];
+      out.done = true;
+      out.success = mapping.success;
+      out.error = mapping.realizedErrorOrBinary();
+      out.accepted = out.error <= config.epsilon;
+      out.backtracks = mapping.backtracks;
+      out.millis = sec * 1e3;
+      if (config.keepMappings) result.mappings[first + i] = std::move(mapping);
     }
-
-    if (mapping.success)
-      MCX_REQUIRE(verifyMapping(fm, sc.cm, mapping, config.spares),
-                  "runDefectExperiment: mapper returned an invalid mapping");
-    // Graded partial mappings carry a physical claim too (the retained rows
-    // really fit their CM rows).
-    if (!mapping.success && !mapping.droppedRows.empty())
-      MCX_REQUIRE(verifyPartialMapping(fm, sc.cm, mapping, config.spares),
-                  "runDefectExperiment: mapper returned an invalid partial mapping");
-
-    PerSample& out = outcomes[s];
-    out.done = true;
-    out.success = mapping.success;
-    out.error = mapping.realizedErrorOrBinary();
-    out.accepted = out.error <= config.epsilon;
-    out.backtracks = mapping.backtracks;
-    out.millis = sec * 1e3;
-    if (config.keepMappings) result.mappings[s] = std::move(mapping);
   }, token);
   mcSpan.finish();
   const double wallSeconds = wall.seconds();

@@ -16,6 +16,13 @@
 // worker pool with per-worker scratch arenas, and the per-sample outcomes
 // are merged back in sample order. Defect maps, success counts, and row
 // assignments are therefore bit-identical at any thread count.
+//
+// The pool's work items are blocks of w consecutive samples, w =
+// min(model.blockWidth(), ceil(samples / pool slots)), so no slot is left
+// without a block: the model draws a block's defect maps side by side
+// (DefectModel::generateBlock, each sample on its own stream), and derive,
+// map, verify and merge stay per sample. Cancellation is checked once per
+// block, before its draw; a block once drawn finishes every sample.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +68,11 @@ struct DefectExperimentConfig {
   /// Keep each sample's MappingResult in DefectExperimentResult::mappings
   /// (sample order). Off by default to keep large sweeps lean.
   bool keepMappings = false;
-  /// Cooperative cancellation: checked between samples. When the token
-  /// fires (explicit cancel() or deadline), remaining samples are skipped
-  /// and the result is labeled aborted with the partial counts — shared
-  /// state is never left mid-sample. Null = run to completion.
+  /// Cooperative cancellation: checked before each block of samples is
+  /// drawn. When the token fires (explicit cancel() or deadline), remaining
+  /// blocks are skipped and the result is labeled aborted with the partial
+  /// counts — a drawn block finishes, so shared state is never left
+  /// mid-sample. Null = run to completion.
   std::shared_ptr<CancelToken> cancel;
   /// Caller-owned persistent worker pool (the experiment service shares one
   /// across requests). Null = a transient pool of `threads` workers, the

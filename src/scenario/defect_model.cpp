@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
+#include <cstring>
 #include <sstream>
 #include <type_traits>
 
@@ -37,6 +37,11 @@ BitMatrix::Word reverseBits(BitMatrix::Word w) {
 
 }  // namespace
 
+void DefectModel::generateBlock(std::size_t rows, std::size_t cols, Rng* rngs,
+                                DefectMap* outs, std::size_t k) const {
+  for (std::size_t i = 0; i < k; ++i) generate(rows, cols, rngs[i], outs[i]);
+}
+
 DefectMap DefectModel::sample(std::size_t rows, std::size_t cols, Rng& rng) const {
   DefectMap map;
   generate(rows, cols, rng, map);
@@ -55,8 +60,22 @@ std::string IidBernoulli::describe() const {
   return "iid(open=" + percent(open_) + ", closed=" + percent(closed_) + ")";
 }
 
-void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
-                            DefectMap& out) const {
+namespace {
+
+// One stream per lane of a 512-bit register where the target has AVX-512F,
+// of a 256-bit one otherwise (two SSE2 registers on generic x86-64, where
+// four lanes still run no slower per sample than one scalar stream).
+#ifdef __AVX512F__
+constexpr std::size_t kDenseLanes = 8;
+#else
+constexpr std::size_t kDenseLanes = 4;
+#endif
+
+/// The dense sweep of samples [0, k) (k <= L) on streams rngs[0, k), one
+/// per lane of RngLanes<L>; L = 1 is the scalar loop.
+template <std::size_t L>
+void iidSweep(std::size_t rows, std::size_t cols, const UniformThreshold& openCut,
+              const UniformThreshold& anyCut, Rng* rngs, DefectMap* outs, std::size_t k) {
   // The paper's defect generation ("assigning an independent defect
   // probability/rate to each crosspoint that shows a uniform distribution"):
   // one uniform draw per crosspoint, row by row, stuck-open below the open
@@ -65,40 +84,101 @@ void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
   // see UniformThreshold), the results of up to 64 consecutive crosspoints
   // are gathered in register words, and each matrix takes one store per
   // word.
-  out.reshape(rows, cols);
-  const UniformThreshold openCut(open_);
-  const UniformThreshold anyCut(open_ + closed_);
-  // Draw from a local copy of the generator: the word stores go through
-  // spans the compiler cannot prove disjoint from the caller's Rng, which
-  // would pin its state in memory. Written back below.
-  Rng local = rng;
   using Word = BitMatrix::Word;
+  using Lanes = typename RngLanes<L>::Lanes;
   constexpr std::size_t kWordBits = BitMatrix::kWordBits;
+  for (std::size_t i = 0; i < k; ++i) outs[i].reshape(rows, cols);
+  if (rows == 0 || cols == 0) return;
+  // Draw from lane copies of the generators: the word stores go through
+  // pointers the compiler cannot prove disjoint from the callers' Rngs,
+  // which would pin their state in memory. Written back below.
+  RngLanes<L> lanes(rngs, k);
+  Word* openBase[L] = {};
+  Word* closedBase[L] = {};
+  for (std::size_t i = 0; i < k; ++i) {
+    openBase[i] = outs[i].mutableOpenBits().rowWords(0).data();
+    closedBase[i] = outs[i].mutableClosedBits().rowWords(0).data();
+  }
+  const std::size_t stride = outs[0].mutableOpenBits().rowWords(0).size();
+  // L = 1 compares each draw x with UniformThreshold's limit T * 2^11. The
+  // vector lanes compare x >> 11 with T instead: both are below 2^63, so
+  // x >> 11 < T exactly when their difference has its sign bit set, one
+  // subtract per threshold (SSE2 has no 64-bit vector compare, AVX2 only a
+  // signed one).
+  constexpr unsigned kLimitShift = L == 1 ? 0 : 11;
+  const Lanes openLimit = Lanes{} + (openCut.limit >> kLimitShift);
+  const Lanes anyLimit = Lanes{} + (anyCut.limit >> kLimitShift);
   // A rate-1 threshold passes by its flag, not its (wrapped) limit; it is
   // ORed in once per word, so each draw costs one compare per threshold.
   const Word openAll = openCut.always ? ~Word{0} : 0;
   const Word anyAll = anyCut.always ? ~Word{0} : 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::span<Word> openRow = out.mutableOpenBits().rowWords(r);
-    const std::span<Word> closedRow = out.mutableClosedBits().rowWords(r);
-    for (std::size_t w = 0; w < openRow.size(); ++w) {
+    for (std::size_t w = 0; w < stride; ++w) {
       const std::size_t bits = std::min(kWordBits, cols - w * kWordBits);
-      // Each result enters at bit 0 and moves up one place per later draw
-      // (a doubling add, no variable shift), so the word holds the columns
-      // in reverse; reversing it at the store puts column w*64 + b at bit b.
-      Word openWord = 0, anyWord = 0;
-      for (std::size_t b = 0; b < bits; ++b) {
-        const std::uint64_t x = local();
-        openWord = 2 * openWord + (x < openCut.limit);
-        anyWord = 2 * anyWord + (x < anyCut.limit);
+      Lanes openWord{}, anyWord{}, x{};
+      if constexpr (L == 1) {
+        // Each result enters at bit 0 and moves up one place per later draw
+        // (a doubling add, no variable shift), so the word holds the
+        // columns in reverse; reversing it puts column w*64 + b at bit b.
+        for (std::size_t b = 0; b < bits; ++b) {
+          lanes.next(x);
+          openWord = 2 * openWord + (x < openLimit);
+          anyWord = 2 * anyWord + (x < anyLimit);
+        }
+        openWord = reverseBits(openWord) >> (kWordBits - bits);
+        anyWord = reverseBits(anyWord) >> (kWordBits - bits);
+      } else {
+        // Each result enters at bit 63 and moves down one place per later
+        // draw, so after the word's draws column w*64 + b sits at bit
+        // 64 - bits + b.
+        constexpr Word kSign = Word{1} << 63;
+        for (std::size_t b = 0; b < bits; ++b) {
+          lanes.next(x);
+          const Lanes high = x >> 11;
+          openWord = (openWord >> 1) | ((high - openLimit) & kSign);
+          anyWord = (anyWord >> 1) | ((high - anyLimit) & kSign);
+        }
+        openWord >>= kWordBits - bits;
+        anyWord >>= kWordBits - bits;
       }
-      openWord = (reverseBits(openWord) | openAll) >> (kWordBits - bits);
-      anyWord = (reverseBits(anyWord) | anyAll) >> (kWordBits - bits);
-      openRow[w] = openWord;
-      closedRow[w] = anyWord & ~openWord;  // open_ <= open_ + closed_: open implies any
+      Word open[L], any[L];
+      std::memcpy(open, &openWord, sizeof open);
+      std::memcpy(any, &anyWord, sizeof any);
+      const Word openFill = openAll >> (kWordBits - bits);
+      const Word anyFill = anyAll >> (kWordBits - bits);
+      const std::size_t at = r * stride + w;
+      for (std::size_t i = 0; i < k; ++i) {
+        const Word o = open[i] | openFill;
+        const Word a = any[i] | anyFill;
+        openBase[i][at] = o;
+        closedBase[i][at] = a & ~o;  // open_ <= open_ + closed_: open implies any
+      }
     }
   }
-  rng = local;
+  lanes.storeTo(rngs, k);
+}
+
+}  // namespace
+
+void IidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
+                            DefectMap& out) const {
+  iidSweep<1>(rows, cols, UniformThreshold(open_), UniformThreshold(open_ + closed_), &rng,
+              &out, 1);
+}
+
+std::size_t IidBernoulli::blockWidth() const { return kDenseLanes; }
+
+void IidBernoulli::generateBlock(std::size_t rows, std::size_t cols, Rng* rngs,
+                                 DefectMap* outs, std::size_t k) const {
+  const UniformThreshold openCut(open_);
+  const UniformThreshold anyCut(open_ + closed_);
+  // Blocks wider than the register run as several.
+  for (; k > kDenseLanes; k -= kDenseLanes, rngs += kDenseLanes, outs += kDenseLanes)
+    iidSweep<kDenseLanes>(rows, cols, openCut, anyCut, rngs, outs, kDenseLanes);
+  if (k == 1)
+    iidSweep<1>(rows, cols, openCut, anyCut, rngs, outs, 1);
+  else if (k > 1)
+    iidSweep<kDenseLanes>(rows, cols, openCut, anyCut, rngs, outs, k);
 }
 
 // ---------------------------------------------------- SparseIidBernoulli
@@ -111,15 +191,27 @@ std::string SparseIidBernoulli::describe() const {
          ", closed=" + percent(stuckClosedRate()) + ")";
 }
 
+std::size_t SparseIidBernoulli::blockWidth() const {
+  return dense() ? IidBernoulli::blockWidth() : 1;
+}
+
+void SparseIidBernoulli::generateBlock(std::size_t rows, std::size_t cols, Rng* rngs,
+                                       DefectMap* outs, std::size_t k) const {
+  if (dense())
+    IidBernoulli::generateBlock(rows, cols, rngs, outs, k);
+  else
+    DefectModel::generateBlock(rows, cols, rngs, outs, k);
+}
+
 void SparseIidBernoulli::generate(std::size_t rows, std::size_t cols, Rng& rng,
                                   DefectMap& out) const {
-  const double total = stuckOpenRate() + stuckClosedRate();
-  if (total > kDenseRateCutoff) {
+  if (dense()) {
     // Dense regime: the distinct-site rejection loop would redraw too
     // often; the parent's one-draw-per-crosspoint sweep wins.
     IidBernoulli::generate(rows, cols, rng, out);
     return;
   }
+  const double total = stuckOpenRate() + stuckClosedRate();
   out.reshape(rows, cols);
   if (rows == 0 || cols == 0 || total <= 0.0) return;
 

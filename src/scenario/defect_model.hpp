@@ -40,6 +40,18 @@ public:
   virtual void generate(std::size_t rows, std::size_t cols, Rng& rng,
                         DefectMap& out) const = 0;
 
+  /// The number of samples generateBlock() draws side by side (1 unless
+  /// the model draws several streams at once). The engine groups up to
+  /// this many samples per block; any k is still valid.
+  virtual std::size_t blockWidth() const { return 1; }
+
+  /// k samples at once: outs[i] and rngs[i] must end exactly as
+  /// generate(rows, cols, rngs[i], outs[i]) leaves them, for every i < k,
+  /// so a block changes no draw, bit or trailing stream state. The
+  /// default loops over generate().
+  virtual void generateBlock(std::size_t rows, std::size_t cols, Rng* rngs, DefectMap* outs,
+                             std::size_t k) const;
+
   // Kept only for perfbench; delete in the next benchmark PR.
   void generateTracked(std::size_t r, std::size_t c, Rng& rng, DefectMap& out, DirtyRows&) const {
     generate(r, c, rng, out);
@@ -57,7 +69,9 @@ public:
 /// exactly when (x >> 11) < ceil(p * 2^53) (UniformThreshold, util/rng.hpp),
 /// so it reproduces the per-bit double-compare loop bit for bit while
 /// gathering 64 crosspoints per register word and storing each matrix word
-/// once.
+/// once. A block runs one stream per 64-bit vector lane (RngLanes,
+/// util/rng.hpp): blockWidth() is 8 where the target has AVX-512F and 4
+/// otherwise, and each sample still gets its own stream's draws in order.
 class IidBernoulli : public DefectModel {
 public:
   explicit IidBernoulli(double stuckOpenRate, double stuckClosedRate = 0.0);
@@ -65,6 +79,9 @@ public:
   std::string name() const override { return "iid"; }
   std::string describe() const override;
   void generate(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) const override;
+  std::size_t blockWidth() const override;
+  void generateBlock(std::size_t rows, std::size_t cols, Rng* rngs, DefectMap* outs,
+                     std::size_t k) const override;
 
   double stuckOpenRate() const { return open_; }
   double stuckClosedRate() const { return closed_; }
@@ -89,7 +106,8 @@ inline const std::string kLegacyScenario = "iid (legacy rates)";
 /// random stream, so it is NOT draw-for-draw compatible with the paper's
 /// sampler; the legacy path stays the bit-identity regression anchor.
 /// Above kDenseRateCutoff the rejection loop stops paying and the model
-/// falls back to the parent's dense draw-for-draw sweep.
+/// falls back to the parent's dense draw-for-draw sweep, blocks included;
+/// below it the block width is 1.
 class SparseIidBernoulli final : public IidBernoulli {
 public:
   /// Total defect rate above which the dense sweep is used instead.
@@ -100,6 +118,12 @@ public:
   std::string name() const override { return "iid-sparse"; }
   std::string describe() const override;
   void generate(std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) const override;
+  std::size_t blockWidth() const override;
+  void generateBlock(std::size_t rows, std::size_t cols, Rng* rngs, DefectMap* outs,
+                     std::size_t k) const override;
+
+private:
+  bool dense() const { return stuckOpenRate() + stuckClosedRate() > kDenseRateCutoff; }
 };
 
 /// Particle-induced clusters: seed points land uniformly (expected

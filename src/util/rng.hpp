@@ -8,9 +8,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace mcx {
+
+template <std::size_t L>
+class RngLanes;
 
 class Rng {
 public:
@@ -64,7 +68,77 @@ public:
   Rng split();
 
 private:
+  template <std::size_t L>
+  friend class RngLanes;
+
   std::uint64_t s_[4];
+};
+
+namespace detail {
+/// L 64-bit lanes: a GCC/Clang vector for L > 1, a plain word for L = 1.
+/// A class template because GCC drops a vector_size attribute that depends
+/// on an alias template's own parameter.
+template <std::size_t L>
+struct WordLanes {
+  typedef std::uint64_t type __attribute__((vector_size(L * sizeof(std::uint64_t))));
+};
+template <>
+struct WordLanes<1> {
+  using type = std::uint64_t;
+};
+}  // namespace detail
+
+/// Up to L xoshiro256** streams stepped together, one per 64-bit vector
+/// lane: each step gives lane i exactly the draw its Rng's operator() would,
+/// so a block of samples on independent streams draws side by side instead
+/// of waiting on one stream's serial state chain. Lanes hold copies; the
+/// streams advance only through storeTo(). Vectors never cross a call
+/// boundary: next() fills a reference, because passing one by value
+/// changes the ABI on targets without the matching vector extension
+/// (-Wpsabi).
+template <std::size_t L>
+class RngLanes {
+public:
+  using Lanes = typename detail::WordLanes<L>::type;
+
+  /// Lane i runs a copy of streams[i] for i < k <= L; the other lanes run
+  /// the all-zero state, which draws zeros.
+  RngLanes(const Rng* streams, std::size_t k) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      std::uint64_t words[L] = {};
+      for (std::size_t i = 0; i < k; ++i) words[i] = streams[i].s_[j];
+      std::memcpy(&s_[j], words, sizeof words);
+    }
+  }
+
+  /// Write lanes [0, k) back to streams[0, k): each stream then stands
+  /// where it would after drawing as often as the lanes stepped.
+  void storeTo(Rng* streams, std::size_t k) const {
+    for (std::size_t j = 0; j < 4; ++j) {
+      std::uint64_t words[L];
+      std::memcpy(words, &s_[j], sizeof words);
+      for (std::size_t i = 0; i < k; ++i) streams[i].s_[j] = words[i];
+    }
+  }
+
+  /// One draw per lane, into @p out: Rng::operator() lane-wise, with the
+  /// multiplications by 5 and 9 as shift-adds (no 64-bit vector multiply
+  /// below AVX-512) and the rotations as shift pairs.
+  void next(Lanes& out) {
+    const Lanes m = (s_[1] << 2) + s_[1];
+    const Lanes r = (m << 7) | (m >> 57);
+    out = (r << 3) + r;
+    const Lanes t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = (s_[3] << 45) | (s_[3] >> 19);
+  }
+
+private:
+  Lanes s_[4];
 };
 
 /// `uniform() < p` decided on the raw 64-bit draw, with no conversion to

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "logic/sop_parser.hpp"
@@ -294,6 +295,110 @@ TEST(DefectExperiment, TokenFiringAfterTheLastSampleDoesNotLabelTheRunAborted) {
   EXPECT_EQ(r.completed, cfg.samples);
   EXPECT_FALSE(r.aborted);
   EXPECT_EQ(r.abortReason, "");
+}
+
+/// Forwards one sample at a time to an inner model: width 1, so a run
+/// through it is the per-sample reference for the engine's blocks.
+class PerSampleModel : public DefectModel {
+public:
+  explicit PerSampleModel(std::shared_ptr<const DefectModel> inner) : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  std::string describe() const override { return inner_->describe(); }
+  void generate(std::size_t rows, std::size_t cols, Rng& rng,
+                DefectMap& out) const override {
+    inner_->generate(rows, cols, rng, out);
+  }
+
+protected:
+  std::shared_ptr<const DefectModel> inner_;
+};
+
+void expectSameRun(const DefectExperimentResult& got, const DefectExperimentResult& want) {
+  EXPECT_EQ(got.completed, want.completed);
+  EXPECT_EQ(got.successes, want.successes);
+  EXPECT_EQ(got.totalBacktracks, want.totalBacktracks);
+  ASSERT_EQ(got.mappings.size(), want.mappings.size());
+  for (std::size_t s = 0; s < got.mappings.size(); ++s) {
+    EXPECT_EQ(got.mappings[s].success, want.mappings[s].success) << "sample=" << s;
+    EXPECT_EQ(got.mappings[s].rowAssignment, want.mappings[s].rowAssignment) << "sample=" << s;
+  }
+}
+
+TEST(DefectExperiment, DenseBlocksMatchPerSampleRuns) {
+  // Sample counts around the block width (a single sample, part blocks,
+  // exact multiples) and thread counts that shrink the width so every pool
+  // slot gets a block.
+  for (const auto& [open, closed] : {std::pair{0.15, 0.0}, std::pair{0.12, 0.02}}) {
+    const auto model = std::make_shared<IidBernoulli>(open, closed);
+    ASSERT_GT(model->blockWidth(), 1u);
+    for (const std::size_t samples : {1, 2, 7, 8, 9, 17, 50, 64}) {
+      DefectExperimentConfig cfg;
+      cfg.samples = samples;
+      cfg.seed = 0xb10c + samples;
+      cfg.keepMappings = true;
+      cfg.threads = 1;
+      cfg.model = std::make_shared<PerSampleModel>(model);
+      const auto reference = runDefectExperiment(testFm(), HybridMapper(), cfg);
+      ASSERT_EQ(reference.completed, samples);
+      cfg.model = model;
+      for (const std::size_t threads : {1, 2, 4, 8}) {
+        SCOPED_TRACE(model->describe() + " samples=" + std::to_string(samples) +
+                     " threads=" + std::to_string(threads));
+        cfg.threads = threads;
+        expectSameRun(runDefectExperiment(testFm(), HybridMapper(), cfg), reference);
+      }
+    }
+  }
+}
+
+/// Forwards the block interface of an inner model too, and fires the token
+/// while drawing block @p cancelBlock (1-based), after that block's check.
+class CancelInBlockModel : public PerSampleModel {
+public:
+  CancelInBlockModel(std::shared_ptr<const DefectModel> inner, CancelToken* token,
+                     std::size_t cancelBlock)
+      : PerSampleModel(std::move(inner)), token_(token), cancelBlock_(cancelBlock) {}
+  std::size_t blockWidth() const override { return inner_->blockWidth(); }
+  void generateBlock(std::size_t rows, std::size_t cols, Rng* rngs, DefectMap* outs,
+                     std::size_t k) const override {
+    if (blocks_.fetch_add(1) + 1 == cancelBlock_) token_->cancel();
+    inner_->generateBlock(rows, cols, rngs, outs, k);
+  }
+
+private:
+  CancelToken* token_;
+  std::size_t cancelBlock_;
+  mutable std::atomic<std::size_t> blocks_{0};
+};
+
+TEST(DefectExperiment, TokenFiringInsideABlockFinishesThatBlock) {
+  const auto inner = std::make_shared<IidBernoulli>(0.15, 0.0);
+  const std::size_t width = inner->blockWidth();
+  DefectExperimentConfig cfg;
+  cfg.samples = 50;
+  cfg.threads = 1;
+  cfg.seed = 28;
+  cfg.keepMappings = true;
+  ASSERT_GT(cfg.samples, 2 * width);
+  cfg.model = inner;
+  const auto full = runDefectExperiment(testFm(), HybridMapper(), cfg);
+  ASSERT_EQ(full.completed, cfg.samples);
+
+  DefectExperimentConfig cancelled = cfg;
+  cancelled.cancel = std::make_shared<CancelToken>();
+  cancelled.model = std::make_shared<CancelInBlockModel>(inner, cancelled.cancel.get(), 2);
+  const auto partial = runDefectExperiment(testFm(), HybridMapper(), cancelled);
+  // Blocks 1 and 2 were drawn before the token was seen, so both finish.
+  EXPECT_EQ(partial.completed, 2 * width);
+  EXPECT_TRUE(partial.aborted);
+  EXPECT_EQ(partial.abortReason, "cancelled");
+  ASSERT_EQ(partial.mappings.size(), cfg.samples);
+  for (std::size_t s = 0; s < 2 * width; ++s)
+    EXPECT_EQ(partial.mappings[s].rowAssignment, full.mappings[s].rowAssignment)
+        << "sample=" << s;
+
+  // The cancelled run consumed no stream of the samples it skipped.
+  expectSameRun(runDefectExperiment(testFm(), HybridMapper(), cfg), full);
 }
 
 }  // namespace

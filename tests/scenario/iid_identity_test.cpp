@@ -4,6 +4,8 @@
 // (reference::iidSample, tests/oracles) bit for bit, draw for draw. The
 // same threshold splits SparseIidBernoulli's mixed-type placement, checked
 // against reference::sparseIidSample, and its dense fallback is this sweep.
+// A block of samples (generateBlock, one stream per vector lane) must
+// replay the same loop on each sample's own stream.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -69,6 +71,28 @@ void expectReplays(const DefectModel& model, const Shape& shape, std::uint64_t s
     ASSERT_EQ(got.closedBits(), want.closedBits()) << "sample " << s;
     Rng probeGot = rng, probeWant = ref;
     ASSERT_EQ(probeGot(), probeWant()) << "sample " << s;
+  }
+}
+
+/// Runs one block of k samples of @p model on k split streams, and
+/// @p reference on twins of them one sample at a time: each sample's open
+/// bits, closed bits and its stream's next draw must be equal.
+template <typename Reference>
+void expectBlockReplays(const DefectModel& model, const Shape& shape, std::uint64_t seed,
+                        std::size_t k, Reference&& reference) {
+  SCOPED_TRACE("k=" + std::to_string(k));
+  Rng root(seed);
+  std::vector<Rng> rngs;
+  for (std::size_t i = 0; i < k; ++i) rngs.push_back(root.split());
+  std::vector<Rng> refs = rngs;
+  std::vector<DefectMap> got(k);
+  model.generateBlock(shape.first, shape.second, rngs.data(), got.data(), k);
+  DefectMap want;
+  for (std::size_t i = 0; i < k; ++i) {
+    reference(shape.first, shape.second, refs[i], want);
+    ASSERT_EQ(got[i].openBits(), want.openBits()) << "sample " << i;
+    ASSERT_EQ(got[i].closedBits(), want.closedBits()) << "sample " << i;
+    ASSERT_EQ(rngs[i](), refs[i]()) << "sample " << i;
   }
 }
 
@@ -140,6 +164,79 @@ TEST(IidBernoulliIdentity, SparseDenseFallbackReplaysThePerBitLoop) {
                     [&](std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) {
                       reference::iidSample(rows, cols, open, closed, rng, out);
                     });
+    }
+  }
+}
+
+TEST(IidBernoulliIdentity, BlocksReplayThePerBitLoop) {
+  // Every block size up to the model's width, so the scalar instance
+  // (k = 1) and every count of active lanes run, and one past it, which
+  // runs as a full block and a one-sample tail.
+  for (const auto& [open, closed] : ratePairs()) {
+    const IidBernoulli model(open, closed);
+    ASSERT_GE(model.blockWidth(), 4u);
+    for (const Shape& shape : shapes()) {
+      SCOPED_TRACE(label(shape, open, closed));
+      for (std::size_t k = 1; k <= model.blockWidth() + 1; ++k)
+        expectBlockReplays(model, shape, 0xb10c000 + shape.first * 7 + shape.second, k,
+                           [&](std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) {
+                             reference::iidSample(rows, cols, open, closed, rng, out);
+                           });
+    }
+  }
+}
+
+TEST(IidBernoulliIdentity, BlockLanesDecideTheThresholdEdge) {
+  // A rate of exactly k * 2^-53, where k = x >> 11 of a lane's first draw x,
+  // puts that crosspoint on the threshold: it must fail, and pass one step
+  // up. Random rates almost never land on a draw's edge, so each lane in
+  // turn gets it here, on the open and on the summed threshold.
+  constexpr std::uint64_t kSeed = 0xed6e;
+  const std::size_t width = IidBernoulli(0.1).blockWidth();
+  Rng root(kSeed);
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    Rng first = root.split();
+    const std::uint64_t k = first() >> 11;
+    for (const std::uint64_t t : {k, k + 1}) {
+      const double p = static_cast<double>(t) * 0x1.0p-53;
+      for (const auto& [open, closed] : {std::pair{p, 0.0}, std::pair{0.0, p}}) {
+        SCOPED_TRACE("lane " + std::to_string(lane) + " t=k+" + std::to_string(t - k) +
+                     (open > 0 ? " open" : " closed"));
+        expectBlockReplays(IidBernoulli(open, closed), {1, 64}, kSeed, width,
+                           [&](std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) {
+                             reference::iidSample(rows, cols, open, closed, rng, out);
+                           });
+      }
+    }
+  }
+}
+
+TEST(IidBernoulliIdentity, SparseBlocksReplayTheirRegime) {
+  // Above the cutoff the sparse model forwards blocks to the dense sweep;
+  // below it the width is 1 and a block is a loop over the placement.
+  for (const auto& [open, closed] : {std::pair{0.3, 0.0}, std::pair{0.2, 0.1},
+                                     std::pair{0.0, 0.3}, std::pair{0.9, 0.1}}) {
+    const SparseIidBernoulli model(open, closed);
+    EXPECT_EQ(model.blockWidth(), IidBernoulli(open, closed).blockWidth());
+    for (const Shape& shape : shapes()) {
+      SCOPED_TRACE(label(shape, open, closed));
+      for (std::size_t k = 1; k <= model.blockWidth(); ++k)
+        expectBlockReplays(model, shape, 0xfb0000 + shape.first * 7 + shape.second, k,
+                           [&](std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) {
+                             reference::iidSample(rows, cols, open, closed, rng, out);
+                           });
+    }
+  }
+  for (const auto& [open, closed] : {std::pair{0.1, 0.0}, std::pair{0.1, 0.1},
+                                     std::pair{0.0, 0.25}}) {
+    const SparseIidBernoulli model(open, closed);
+    EXPECT_EQ(model.blockWidth(), 1u) << "open=" << open << " closed=" << closed;
+    for (const Shape& shape : shapes()) {
+      SCOPED_TRACE(label(shape, open, closed));
+      expectBlockReplays(model, shape, 0x5b0000 + shape.first * 7 + shape.second, 3,
+                         [&](std::size_t rows, std::size_t cols, Rng& rng, DefectMap& out) {
+                           reference::sparseIidSample(rows, cols, open, closed, rng, out);
+                         });
     }
   }
 }

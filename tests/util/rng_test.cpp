@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace mcx {
 namespace {
@@ -128,6 +132,38 @@ TEST(Rng, BinomialMatchesMomentsAndBernoulliSum) {
   EXPECT_NEAR(mean, expectedMean, 2.0);
   EXPECT_NEAR(mean, trialSum / reps, 2.5);
   EXPECT_NEAR(var, expectedVar, expectedVar * 0.12);
+}
+
+/// Steps RngLanes<L> over k fresh streams 10,000 times: lane i must draw
+/// what streams[i]'s scalar copy draws, storeTo must leave each active
+/// stream where its copy stands and leave the inactive ones untouched.
+template <std::size_t L>
+void expectLanesReplay(std::size_t k) {
+  SCOPED_TRACE("L=" + std::to_string(L) + " k=" + std::to_string(k));
+  Rng root(0x1a7e5 + L * 31 + k);
+  std::vector<Rng> streams, scalar;
+  for (std::size_t i = 0; i < L; ++i) streams.push_back(root.split());
+  scalar = streams;
+  RngLanes<L> lanes(streams.data(), k);
+  typename RngLanes<L>::Lanes x;
+  std::uint64_t words[L];
+  for (int n = 0; n < 10000; ++n) {
+    lanes.next(x);
+    std::memcpy(words, &x, sizeof words);
+    for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(words[i], scalar[i]()) << "draw " << n;
+  }
+  const std::vector<Rng> before = streams;
+  lanes.storeTo(streams.data(), k);
+  for (std::size_t i = 0; i < L; ++i) {
+    Rng want = i < k ? scalar[i] : before[i];
+    for (int n = 0; n < 4; ++n) EXPECT_EQ(streams[i](), want()) << "stream " << i;
+  }
+}
+
+TEST(RngLanes, EachLaneReplaysItsStream) {
+  expectLanesReplay<1>(1);
+  for (std::size_t k = 1; k <= 4; ++k) expectLanesReplay<4>(k);
+  for (std::size_t k = 1; k <= 8; ++k) expectLanesReplay<8>(k);
 }
 
 }  // namespace
