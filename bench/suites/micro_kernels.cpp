@@ -341,12 +341,16 @@ BENCHMARK(BM_ApproxRescue);
 
 // --- Memoized synthesis front-end: full pipeline vs cache lookup -----------
 
-void BM_CircuitCompileCacheMiss(benchmark::State& state) {
-  const CircuitSpec spec = makeCircuitSpec("rd53-min");
+// The cold compiles behind a workload's setup: rd53-min and nn-small run
+// espresso, alu4 is the 575-product irredundant randomSop stand-in.
+void BM_CircuitCompileCacheMiss(benchmark::State& state, const char* circuit) {
+  const CircuitSpec spec = makeCircuitSpec(circuit);
   for (auto _ : state)
     benchmark::DoNotOptimize(compileCircuit(spec, /*useCache=*/false));
 }
-BENCHMARK(BM_CircuitCompileCacheMiss);
+BENCHMARK_CAPTURE(BM_CircuitCompileCacheMiss, rd53-min, "rd53-min");
+BENCHMARK_CAPTURE(BM_CircuitCompileCacheMiss, nn-small, "nn-small");
+BENCHMARK_CAPTURE(BM_CircuitCompileCacheMiss, alu4, "alu4");
 
 void BM_CircuitCompileCacheHit(benchmark::State& state) {
   const CircuitSpec spec = makeCircuitSpec("rd53-min");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <sstream>
 
 #include "logic/truth_table.hpp"
@@ -247,11 +248,11 @@ MappingResult ApproxMapper::rescue(const FunctionMatrix& fm, const BitMatrix& cm
   const TruthTable& spec = analysis->specTt;
   std::size_t wrong = 0;
   for (std::size_t o = 0; o < nout; ++o) {
-    const std::vector<Word>& want = spec.bits(o).words();
+    const std::span<const Word> want = spec.bits(o).words();
     sc.realized.assign(want.size(), 0);
     for (const std::size_t i : analysis->rowsOfOutput[o]) {
       if (sc.cmOfRow[i] == MappingResult::kUnassigned) continue;
-      const std::vector<Word>& cube = analysis->cubeTt[i].words();
+      const std::span<const Word> cube = analysis->cubeTt[i].words();
       for (std::size_t k = 0; k < cube.size(); ++k) sc.realized[k] |= cube[k];
     }
     for (std::size_t k = 0; k < want.size(); ++k)

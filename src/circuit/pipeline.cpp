@@ -1,6 +1,5 @@
 #include "circuit/pipeline.hpp"
 
-#include <cstdint>
 #include <utility>
 
 #include "benchdata/registry.hpp"
@@ -183,20 +182,25 @@ Circuit buildCircuit(const CircuitSpec& spec) {
 
 namespace {
 
+// Heap bytes of a DynBits of @p widthBits: none up to its inline capacity,
+// one block of its words past that.
 std::size_t bitsBytes(std::size_t widthBits) {
-  return ((widthBits + 63) / 64) * sizeof(std::uint64_t) + 3 * sizeof(void*);
+  const std::size_t words = DynBits::wordsFor(widthBits);
+  return words > DynBits::kInlineWords ? words * sizeof(DynBits::Word) : 0;
 }
 
 std::size_t coverBytes(const Cover& cover) {
-  // Each cube holds two DynBits (input pairs + outputs) plus vector
-  // bookkeeping; the cube vector itself is the per-entry overhead.
+  // The cube vector holds each Cube (its two DynBits' inline words
+  // included); a wide input or output part adds its heap block.
   const std::size_t perCube =
-      bitsBytes(2 * cover.nin()) + bitsBytes(cover.nout()) + sizeof(Cube);
+      sizeof(Cube) + bitsBytes(2 * cover.nin()) + bitsBytes(cover.nout());
   return sizeof(Cover) + cover.size() * perCube;
 }
 
 std::size_t matrixBytes(const FunctionMatrix& fm) {
-  return sizeof(FunctionMatrix) + fm.rows() * bitsBytes(fm.cols());
+  // One flat block of row words behind the BitMatrix.
+  const std::size_t rowWords = (fm.cols() + BitMatrix::kWordBits - 1) / BitMatrix::kWordBits;
+  return sizeof(FunctionMatrix) + fm.rows() * rowWords * sizeof(BitMatrix::Word);
 }
 
 std::size_t layoutBytes(const MultiLevelLayout& layout) {

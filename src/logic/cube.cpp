@@ -30,7 +30,7 @@ void Cube::setLit(std::size_t var, Lit l) {
 bool Cube::inputEmpty() const {
   // A variable pair is empty iff both its bits are clear. Tail bits beyond
   // 2*nin are always zero, so each word is checked only over its valid pairs.
-  const auto& words = in_.words();
+  const auto words = in_.words();
   const std::size_t nPairs = nin_;
   for (std::size_t wi = 0; wi < words.size(); ++wi) {
     const DynBits::Word w = words[wi];
@@ -50,7 +50,7 @@ std::size_t Cube::literalCount() const {
   // A variable contributes a literal iff its pair is 01 or 10 (exactly one
   // bit set), i.e. bits differ.
   std::size_t count = 0;
-  const auto& words = in_.words();
+  const auto words = in_.words();
   for (std::size_t wi = 0; wi < words.size(); ++wi) {
     const DynBits::Word w = words[wi];
     const DynBits::Word differs = (w ^ (w >> 1)) & kNegMask;
@@ -64,8 +64,8 @@ bool Cube::inputIntersects(const Cube& o) const { return inputDistance(o) == 0; 
 std::size_t Cube::inputDistance(const Cube& o) const {
   MCX_REQUIRE(nin_ == o.nin_, "Cube::inputDistance arity mismatch");
   std::size_t dist = 0;
-  const auto& a = in_.words();
-  const auto& b = o.in_.words();
+  const auto a = in_.words();
+  const auto b = o.in_.words();
   const std::size_t nPairs = nin_;
   for (std::size_t wi = 0; wi < a.size(); ++wi) {
     const DynBits::Word w = a[wi] & b[wi];

@@ -2,10 +2,22 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace mcx {
+
+namespace {
+
+// One word of each of kLanes cubes, side by side in a GCC/Clang vector: one
+// zmm register under AVX-512, two ymm under AVX2, four SSE2 registers on
+// generic x86-64.
+constexpr std::size_t kLanes = 8;
+typedef DynBits::Word Lanes __attribute__((vector_size(kLanes * sizeof(DynBits::Word))));
+
+}  // namespace
 
 Cover randomSop(const RandomSopOptions& opts, Rng& rng) {
   MCX_REQUIRE(opts.nin > 0 && opts.nout > 0 && opts.products > 0, "randomSop: empty shape");
@@ -24,6 +36,13 @@ Cover randomSop(const RandomSopOptions& opts, Rng& rng) {
   // cubes (antichain limits); after enough rejected draws fall back to
   // merely distinct cubes so generation always terminates.
   const std::size_t relaxAfter = products * 50 + 500;
+  // The accepted cubes' words (inputs, then outputs) in blocks of kLanes
+  // cubes: word k of cube i sits at [(i - i % kLanes) * stride + k * kLanes
+  // + i % kLanes], so the irredundancy check is one pass over this flat
+  // array, kLanes cubes per step.
+  const std::size_t stride = DynBits::wordsFor(2 * opts.nin) + DynBits::wordsFor(opts.nout);
+  std::vector<DynBits::Word> accepted;
+  std::vector<DynBits::Word> candidate(stride);
   while (cover.size() < products) {
     const bool requireIrredundant = opts.irredundant && guard < relaxAfter;
     // At saturated small aritys (e.g. 2 variables with a literal target of
@@ -56,14 +75,37 @@ Cover randomSop(const RandomSopOptions& opts, Rng& rng) {
     if (c.outputBits().none())
       c.setOut(static_cast<std::size_t>(rng.uniformInt(0, opts.nout - 1)));
 
+    // d contains c iff no word of c has a bit outside d's (inputs and
+    // outputs alike), c contains d iff the reverse, and they are equal iff
+    // both hold.
+    const auto cIn = c.inputBits().words();
+    const auto cOut = c.outputBits().words();
+    std::copy(cIn.begin(), cIn.end(), candidate.begin());
+    std::copy(cOut.begin(), cOut.end(), candidate.begin() + cIn.size());
+    const std::size_t n = cover.size();
     bool rejected = false;
-    for (const Cube& d : cover.cubes()) {
-      if (requireIrredundant ? (d.contains(c) || c.contains(d)) : d == c) {
-        rejected = true;
-        break;
+    for (std::size_t first = 0; first < n && !rejected; first += kLanes) {
+      const DynBits::Word* block = accepted.data() + first * stride;
+      Lanes cOutsideD{};
+      Lanes dOutsideC{};
+      for (std::size_t k = 0; k < stride; ++k, block += kLanes) {
+        Lanes d;
+        std::memcpy(&d, block, sizeof d);
+        cOutsideD |= candidate[k] & ~d;
+        dOutsideC |= d & ~candidate[k];
       }
+      const auto hit = requireIrredundant ? ((cOutsideD == 0) | (dOutsideC == 0))
+                                          : ((cOutsideD | dOutsideC) == 0);
+      DynBits::Word lanes[kLanes];
+      std::memcpy(lanes, &hit, sizeof lanes);
+      // Lanes past the last accepted cube hold zero words, not cubes.
+      for (std::size_t l = 0; l < std::min(kLanes, n - first); ++l) rejected |= lanes[l] != 0;
     }
     if (rejected) continue;
+    const std::size_t lane = n % kLanes;
+    if (lane == 0) accepted.resize(accepted.size() + kLanes * stride);
+    DynBits::Word* const slot = accepted.data() + (n - lane) * stride + lane;
+    for (std::size_t k = 0; k < stride; ++k) slot[k * kLanes] = candidate[k];
     cover.add(std::move(c));
   }
   return cover;

@@ -62,7 +62,7 @@ DynBits ttVarMask(std::size_t nin, std::size_t var) {
   DynBits mask(n);
   if (var >= 6) {
     // Whole words alternate in blocks of 2^(var-6) words.
-    auto& words = mask.mutableWords();
+    const auto words = mask.mutableWords();
     const std::size_t block = std::size_t{1} << (var - 6);
     for (std::size_t w = 0; w < words.size(); ++w)
       if ((w / block) & 1u) words[w] = ~DynBits::Word{0};
@@ -86,8 +86,8 @@ namespace {
 DynBits ttShiftAcross(const DynBits& f, std::size_t nin, std::size_t var, bool toUpper) {
   const std::size_t n = std::size_t{1} << nin;
   DynBits r(n);
-  auto& rw = r.mutableWords();
-  const auto& fw = f.words();
+  const auto rw = r.mutableWords();
+  const auto fw = f.words();
   if (var >= 6) {
     const std::size_t block = std::size_t{1} << (var - 6);
     for (std::size_t w = 0; w < fw.size(); ++w) {

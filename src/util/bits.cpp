@@ -14,53 +14,105 @@ constexpr DynBits::Word wordMask(std::size_t i) {
 }
 }  // namespace
 
-DynBits::DynBits(std::size_t n, bool value)
-    : n_(n), w_((n + kWordBits - 1) / kWordBits, value ? ~Word{0} : Word{0}) {
+DynBits::DynBits(std::size_t n, bool value) : n_(n) {
+  const Word fill = value ? ~Word{0} : Word{0};
+  if (onHeap()) p_ = new Word[wordsFor(n_)];
+  std::fill_n(p_, wordsFor(n_), fill);
   if (value) maskTail();
+}
+
+DynBits::DynBits(const DynBits& o) : n_(o.n_) {
+  if (onHeap()) {
+    p_ = new Word[wordsFor(n_)];
+    std::copy_n(o.p_, wordsFor(n_), p_);
+  } else {
+    std::copy_n(o.inline_, kInlineWords, inline_);
+  }
+}
+
+DynBits::DynBits(DynBits&& o) noexcept { adopt(o); }
+
+DynBits& DynBits::operator=(const DynBits& o) {
+  if (this == &o) return *this;
+  if (o.onHeap()) {
+    const std::size_t nw = wordsFor(o.n_);
+    if (!onHeap() || wordsFor(n_) != nw) {
+      Word* block = new Word[nw];
+      release();
+      p_ = block;
+    }
+    std::copy_n(o.p_, nw, p_);
+  } else {
+    release();
+    p_ = inline_;
+    std::copy_n(o.inline_, kInlineWords, inline_);
+  }
+  n_ = o.n_;
+  return *this;
+}
+
+DynBits& DynBits::operator=(DynBits&& o) noexcept {
+  if (this == &o) return *this;
+  release();
+  adopt(o);
+  return *this;
+}
+
+void DynBits::adopt(DynBits& o) noexcept {
+  n_ = o.n_;
+  if (o.onHeap()) {
+    p_ = o.p_;
+    o.p_ = o.inline_;
+    o.n_ = 0;
+    std::fill_n(o.inline_, kInlineWords, Word{0});
+  } else {
+    p_ = inline_;
+    std::copy_n(o.inline_, kInlineWords, inline_);
+  }
 }
 
 void DynBits::maskTail() {
   const std::size_t rem = n_ % kWordBits;
-  if (rem != 0 && !w_.empty()) w_.back() &= (Word{1} << rem) - 1;
+  if (rem != 0) p_[wordsFor(n_) - 1] &= (Word{1} << rem) - 1;
 }
 
 bool DynBits::test(std::size_t i) const {
   MCX_REQUIRE(i < n_, "DynBits::test out of range");
-  return (w_[wordIndex(i)] & wordMask(i)) != 0;
+  return (p_[wordIndex(i)] & wordMask(i)) != 0;
 }
 
 void DynBits::set(std::size_t i) {
   MCX_REQUIRE(i < n_, "DynBits::set out of range");
-  w_[wordIndex(i)] |= wordMask(i);
+  p_[wordIndex(i)] |= wordMask(i);
 }
 
 void DynBits::set(std::size_t i, bool value) { value ? set(i) : reset(i); }
 
 void DynBits::reset(std::size_t i) {
   MCX_REQUIRE(i < n_, "DynBits::reset out of range");
-  w_[wordIndex(i)] &= ~wordMask(i);
+  p_[wordIndex(i)] &= ~wordMask(i);
 }
 
 void DynBits::flip(std::size_t i) {
   MCX_REQUIRE(i < n_, "DynBits::flip out of range");
-  w_[wordIndex(i)] ^= wordMask(i);
+  p_[wordIndex(i)] ^= wordMask(i);
 }
 
 void DynBits::setAll() {
-  std::fill(w_.begin(), w_.end(), ~Word{0});
+  std::fill_n(p_, wordsFor(n_), ~Word{0});
   maskTail();
 }
 
-void DynBits::resetAll() { std::fill(w_.begin(), w_.end(), Word{0}); }
+void DynBits::resetAll() { std::fill_n(p_, wordsFor(n_), Word{0}); }
 
 std::size_t DynBits::count() const {
   std::size_t c = 0;
-  for (Word w : w_) c += static_cast<std::size_t>(std::popcount(w));
+  for (Word w : words()) c += static_cast<std::size_t>(std::popcount(w));
   return c;
 }
 
 bool DynBits::any() const {
-  for (Word w : w_)
+  for (Word w : words())
     if (w != 0) return true;
   return false;
 }
@@ -71,62 +123,77 @@ std::size_t DynBits::findFirst() const { return findNext(0); }
 
 std::size_t DynBits::findNext(std::size_t from) const {
   if (from >= n_) return n_;
+  const std::span<const Word> ws = words();
   std::size_t wi = wordIndex(from);
-  Word w = w_[wi] & (~Word{0} << (from % kWordBits));
+  Word w = ws[wi] & (~Word{0} << (from % kWordBits));
   while (true) {
     if (w != 0) {
       const std::size_t i = wi * kWordBits + static_cast<std::size_t>(std::countr_zero(w));
       return i < n_ ? i : n_;
     }
-    if (++wi >= w_.size()) return n_;
-    w = w_[wi];
+    if (++wi >= ws.size()) return n_;
+    w = ws[wi];
   }
 }
 
 DynBits& DynBits::operator&=(const DynBits& o) {
   MCX_REQUIRE(n_ == o.n_, "DynBits size mismatch");
-  for (std::size_t i = 0; i < w_.size(); ++i) w_[i] &= o.w_[i];
+  Word* w = p_;
+  const Word* ow = o.p_;
+  for (std::size_t i = 0; i < wordsFor(n_); ++i) w[i] &= ow[i];
   return *this;
 }
 
 DynBits& DynBits::operator|=(const DynBits& o) {
   MCX_REQUIRE(n_ == o.n_, "DynBits size mismatch");
-  for (std::size_t i = 0; i < w_.size(); ++i) w_[i] |= o.w_[i];
+  Word* w = p_;
+  const Word* ow = o.p_;
+  for (std::size_t i = 0; i < wordsFor(n_); ++i) w[i] |= ow[i];
   return *this;
 }
 
 DynBits& DynBits::operator^=(const DynBits& o) {
   MCX_REQUIRE(n_ == o.n_, "DynBits size mismatch");
-  for (std::size_t i = 0; i < w_.size(); ++i) w_[i] ^= o.w_[i];
+  Word* w = p_;
+  const Word* ow = o.p_;
+  for (std::size_t i = 0; i < wordsFor(n_); ++i) w[i] ^= ow[i];
   return *this;
 }
 
 DynBits& DynBits::andNot(const DynBits& o) {
   MCX_REQUIRE(n_ == o.n_, "DynBits size mismatch");
-  for (std::size_t i = 0; i < w_.size(); ++i) w_[i] &= ~o.w_[i];
+  Word* w = p_;
+  const Word* ow = o.p_;
+  for (std::size_t i = 0; i < wordsFor(n_); ++i) w[i] &= ~ow[i];
   return *this;
 }
 
 DynBits DynBits::operator~() const {
   DynBits r(*this);
-  for (Word& w : r.w_) w = ~w;
+  for (Word& w : r.mutableWords()) w = ~w;
   r.maskTail();
   return r;
 }
 
-bool DynBits::operator==(const DynBits& o) const { return n_ == o.n_ && w_ == o.w_; }
+bool DynBits::operator==(const DynBits& o) const {
+  return n_ == o.n_ && std::equal(p_, p_ + wordsFor(n_), o.p_);
+}
 
 bool DynBits::subsetOf(const DynBits& o) const {
   MCX_REQUIRE(n_ == o.n_, "DynBits size mismatch");
-  for (std::size_t i = 0; i < w_.size(); ++i)
-    if ((w_[i] & ~o.w_[i]) != 0) return false;
+  const Word* w = p_;
+  const Word* ow = o.p_;
+  for (std::size_t i = 0; i < wordsFor(n_); ++i)
+    if ((w[i] & ~ow[i]) != 0) return false;
   return true;
 }
 
 bool DynBits::intersects(const DynBits& o) const {
   MCX_REQUIRE(n_ == o.n_, "DynBits size mismatch");
-  for (std::size_t i = 0; i < w_.size(); ++i)
-    if ((w_[i] & o.w_[i]) != 0) return true;
+  const Word* w = p_;
+  const Word* ow = o.p_;
+  for (std::size_t i = 0; i < wordsFor(n_); ++i)
+    if ((w[i] & ow[i]) != 0) return true;
   return false;
 }
 
@@ -138,14 +205,16 @@ std::string DynBits::toString() const {
 
 int DynBits::compare(const DynBits& o) const {
   if (n_ != o.n_) return n_ < o.n_ ? -1 : 1;
-  for (std::size_t i = 0; i < w_.size(); ++i)
-    if (w_[i] != o.w_[i]) return w_[i] < o.w_[i] ? -1 : 1;
+  const Word* w = p_;
+  const Word* ow = o.p_;
+  for (std::size_t i = 0; i < wordsFor(n_); ++i)
+    if (w[i] != ow[i]) return w[i] < ow[i] ? -1 : 1;
   return 0;
 }
 
 std::size_t DynBits::hash() const {
   std::size_t h = n_ * 0x9e3779b97f4a7c15ull;
-  for (Word w : w_) {
+  for (Word w : words()) {
     h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   }
   return h;
